@@ -102,6 +102,7 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::string json;
   if (!pipelines.empty()) {
     try {
       const dvs::PipelineSuiteReport report =
@@ -110,28 +111,32 @@ int main(int argc, char** argv) {
       std::printf("\n%zu cells on %d threads in %.2fs -> %s\n",
                   report.cells.size(), report.num_threads,
                   report.wall_seconds, json_path.c_str());
-      std::ofstream out(json_path);
-      if (!out) throw std::runtime_error("cannot write: " + json_path);
-      out << report.to_json();
+      json = report.to_json();
     } catch (const std::exception& e) {
       std::fprintf(stderr, "suite_bench: %s\n", e.what());
       return 1;
     }
-    return 0;
+  } else {
+    const dvs::SuiteReport report = dvs::run_suite(options);
+    std::fputs(report.table1().c_str(), stdout);
+    std::fputs("\n", stdout);
+    std::fputs(report.table2().c_str(), stdout);
+    std::printf("\n%zu circuits on %d threads in %.2fs -> %s\n",
+                report.rows.size(), report.num_threads, report.wall_seconds,
+                json_path.c_str());
+    json = report.to_json();
   }
 
-  const dvs::SuiteReport report = dvs::run_suite(options);
-  std::fputs(report.table1().c_str(), stdout);
-  std::fputs("\n", stdout);
-  std::fputs(report.table2().c_str(), stdout);
-  std::printf("\n%zu circuits on %d threads in %.2fs -> %s\n",
-              report.rows.size(), report.num_threads, report.wall_seconds,
-              json_path.c_str());
-  try {
-    dvs::write_suite_json(report, json_path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
+  std::ofstream out(json_path);
+  if (!out) {
+    if (pipelines.empty())
+      std::fprintf(stderr, "cannot write suite JSON: %s\n",
+                   json_path.c_str());
+    else
+      std::fprintf(stderr, "suite_bench: cannot write: %s\n",
+                   json_path.c_str());
     return 1;
   }
+  out << json;
   return 0;
 }

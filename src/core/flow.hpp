@@ -79,8 +79,8 @@ Design make_flow_design(const Network& mapped, const Library& lib,
 /// 100 * (original - optimized) / original, 0 when original is 0.
 double improvement_pct(double original, double optimized);
 
-/// Runs the full paper flow on one mapped circuit (all three algorithms;
-/// implemented on run_single_job, see core/job.hpp).
+/// Runs the full paper flow on one mapped circuit: the three canonical
+/// paper cells through run_pipeline_job (see core/job.hpp).
 CircuitRunResult run_paper_flow(const Network& mapped, const Library& lib,
                                 const FlowOptions& options = {});
 

@@ -8,32 +8,6 @@
 
 namespace dvs {
 
-namespace {
-
-/// Copies a paper cell's single-pass stats into its legacy row columns.
-/// The values are read back exactly as the hard-wired flow computed
-/// them, so pipeline-backed rows are bit-identical to the seed rows.
-void fill_paper_columns(const JobCellResult& cell, CircuitRunResult* row) {
-  const PassStats& last = cell.run.passes.back();
-  if (cell.label == "cvs") {
-    row->cvs_low = last.low_gates;
-    row->cvs_improve_pct = cell.improve_pct;
-  } else if (cell.label == "dscale") {
-    row->dscale_low = last.low_gates;
-    row->dscale_lcs = last.level_converters;
-    row->dscale_improve_pct = cell.improve_pct;
-  } else if (cell.label == "gscale") {
-    row->gscale_low = last.low_gates;
-    row->gscale_resized =
-        static_cast<int>(last.details.at("resized").as_int());
-    row->gscale_area_increase = last.details.at("area_increase").as_double();
-    row->gscale_seconds = last.cpu_seconds;
-    row->gscale_improve_pct = cell.improve_pct;
-  }
-}
-
-}  // namespace
-
 const char* paper_algo_name(PaperAlgo algo) {
   switch (algo) {
     case PaperAlgo::kCvs: return "cvs";
@@ -69,6 +43,25 @@ JobCell make_paper_cell(PaperAlgo algo, const FlowOptions& flow) {
 std::string pipeline_label(const Pipeline& pipeline) {
   return pipeline.size() == 1 ? pipeline.pass(0).name()
                               : std::string("pipeline");
+}
+
+void fill_paper_columns(const JobCellResult& cell, CircuitRunResult* row) {
+  const PassStats& last = cell.run.passes.back();
+  if (cell.label == "cvs") {
+    row->cvs_low = last.low_gates;
+    row->cvs_improve_pct = cell.improve_pct;
+  } else if (cell.label == "dscale") {
+    row->dscale_low = last.low_gates;
+    row->dscale_lcs = last.level_converters;
+    row->dscale_improve_pct = cell.improve_pct;
+  } else if (cell.label == "gscale") {
+    row->gscale_low = last.low_gates;
+    row->gscale_resized =
+        static_cast<int>(last.details.at("resized").as_int());
+    row->gscale_area_increase = last.details.at("area_increase").as_double();
+    row->gscale_seconds = last.cpu_seconds;
+    row->gscale_improve_pct = cell.improve_pct;
+  }
 }
 
 FlowOptions derive_cell_flow(const FlowOptions& base,
@@ -123,24 +116,13 @@ PipelineJobResult run_pipeline_job(const Network& mapped, const Library& lib,
   return out;
 }
 
-CircuitRunResult run_single_job(const Network& mapped, const Library& lib,
-                                const JobSpec& spec, const JobInit* init) {
-  std::vector<JobCell> cells;
-  const PaperAlgo algos[] = {PaperAlgo::kCvs, PaperAlgo::kDscale,
-                             PaperAlgo::kGscale};
-  const bool enabled[] = {spec.run_cvs, spec.run_dscale, spec.run_gscale};
-  for (int i = 0; i < 3; ++i)
-    if (enabled[i]) cells.push_back(make_paper_cell(algos[i], spec.flow));
-  return run_pipeline_job(mapped, lib, spec.flow, std::move(cells), false,
-                          init)
-      .row;
-}
-
 CircuitRunResult run_paper_flow(const Network& mapped, const Library& lib,
                                 const FlowOptions& options) {
-  JobSpec spec;
-  spec.flow = options;
-  return run_single_job(mapped, lib, spec);
+  std::vector<JobCell> cells;
+  for (PaperAlgo algo :
+       {PaperAlgo::kCvs, PaperAlgo::kDscale, PaperAlgo::kGscale})
+    cells.push_back(make_paper_cell(algo, options));
+  return run_pipeline_job(mapped, lib, options, std::move(cells)).row;
 }
 
 }  // namespace dvs

@@ -7,10 +7,9 @@
 // to the same cell of a suite_bench run.
 //
 // The paper's three algorithms are not special-cased anywhere below
-// this line: the legacy three-boolean JobSpec is a thin adapter that
-// compiles into the canonical single-pass pipelines ("cvs", "dscale",
-// "gscale") via make_paper_cell, and arbitrary registry pipelines run
-// through exactly the same machinery.
+// this line: make_paper_cell compiles each into its canonical
+// single-pass pipeline ("cvs", "dscale", "gscale"), and arbitrary
+// registry pipelines run through exactly the same machinery.
 //
 // Seed discipline matches the suite engine: every stochastic knob is a
 // pure function of (circuit seed, algorithm/position) via
@@ -28,14 +27,6 @@
 
 namespace dvs {
 
-/// What to run on one circuit (legacy adapter surface).
-struct JobSpec {
-  FlowOptions flow;
-  bool run_cvs = true;
-  bool run_dscale = true;
-  bool run_gscale = true;
-};
-
 /// One pipeline cell of a job.  `label` is "cvs"/"dscale"/"gscale" for
 /// the canonical paper cells (those fill the legacy row columns), the
 /// pass name for other single-pass pipelines, and "pipeline" for
@@ -49,7 +40,8 @@ const char* paper_algo_name(PaperAlgo algo);
 
 /// The canonical paper pipeline of one algorithm with `flow`'s options
 /// (including already-derived seeds) bound onto the pass — what the
-/// legacy JobSpec and the protocol's `algos` field compile to.
+/// suite matrix, run_paper_flow and the protocol's `algos` field
+/// compile to.
 JobCell make_paper_cell(PaperAlgo algo, const FlowOptions& flow);
 
 /// Builds `label` for a spec'd pipeline: the pass name when it has one
@@ -67,6 +59,13 @@ struct JobCellResult {
   PipelineRun run;
   std::optional<Design> design;
 };
+
+/// Copies a paper cell's single-pass stats into its row columns: the
+/// cell labelled "cvs", "dscale" or "gscale" fills that algorithm's
+/// columns, any other label none.  The values are read back exactly as
+/// the pass computed them, so pipeline-backed rows are bit-identical to
+/// the hard-wired flow's.
+void fill_paper_columns(const JobCellResult& cell, CircuitRunResult* row);
 
 struct PipelineJobResult {
   CircuitRunResult row;  // legacy columns filled from paper cells
@@ -108,11 +107,5 @@ PipelineJobResult run_pipeline_job(const Network& mapped, const Library& lib,
                                    std::vector<JobCell> cells,
                                    bool capture_designs = false,
                                    const JobInit* init = nullptr);
-
-/// Legacy three-boolean adapter: compiles `spec` into the canonical
-/// paper pipelines and executes them through run_pipeline_job.
-CircuitRunResult run_single_job(const Network& mapped, const Library& lib,
-                                const JobSpec& spec,
-                                const JobInit* init = nullptr);
 
 }  // namespace dvs

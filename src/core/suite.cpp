@@ -2,7 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -19,13 +19,6 @@ namespace dvs {
 
 namespace {
 
-/// One cell of the circuit x algorithm matrix.
-struct SuiteTask {
-  int row_index;
-  const McncDescriptor* descriptor;
-  PaperAlgo algo;
-};
-
 std::string json_escape(const std::string& s) {
   std::string out;
   for (char c : s) {
@@ -41,24 +34,6 @@ std::string num(double v) {
   return buf;
 }
 
-/// Library resolution shared by the legacy and the pipeline matrix:
-/// the caller's library (or the compass default), reladdered onto
-/// `options.supplies` when set.  `fallback`/`reladdered` provide the
-/// storage; the returned pointer aliases one of them or `lib`.
-const Library* effective_library(const SuiteOptions& options,
-                                 const Library* lib,
-                                 std::optional<Library>* fallback,
-                                 std::optional<Library>* reladdered) {
-  if (lib == nullptr) lib = &fallback->emplace(build_compass_library());
-  if (!options.supplies.empty()) {
-    reladdered->emplace(*lib);
-    (*reladdered)->set_supply_ladder(SupplyLadder(options.supplies));
-    lib = &**reladdered;
-  }
-  return lib;
-}
-
-/// Circuit selection shared by the legacy and the pipeline matrix.
 std::vector<const McncDescriptor*> select_circuits(
     const SuiteOptions& options) {
   std::vector<const McncDescriptor*> selected;
@@ -79,6 +54,74 @@ std::vector<const McncDescriptor*> select_circuits(
   return selected;
 }
 
+/// One executed circuits x columns matrix.
+struct MatrixRun {
+  std::vector<const McncDescriptor*> circuits;
+  std::vector<double> supplies;         // the ladder the matrix ran at
+  std::vector<PipelineJobResult> jobs;  // circuit-major, column-minor
+  int num_threads = 0;
+  double wall_seconds = 0.0;
+};
+
+/// Builds the job cell of one (circuit, column) task.
+using CellFactory =
+    std::function<JobCell(const McncDescriptor& descriptor, int column)>;
+
+/// The one matrix engine behind run_suite and run_pipeline_suite: every
+/// (circuit, column) task runs the cell `make_cell` builds for it as a
+/// single-cell run_pipeline_job.
+MatrixRun run_matrix(const SuiteOptions& options, const Library* lib,
+                     int columns, const CellFactory& make_cell) {
+  // The caller's library (or the compass default), reladdered onto
+  // `options.supplies` when set.
+  std::optional<Library> fallback;
+  std::optional<Library> reladdered;
+  if (lib == nullptr) lib = &fallback.emplace(build_compass_library());
+  if (!options.supplies.empty()) {
+    lib = &reladdered.emplace(*lib);
+    reladdered->set_supply_ladder(SupplyLadder(options.supplies));
+  }
+
+  MatrixRun run;
+  run.supplies = lib->supplies().voltages();
+  run.circuits = select_circuits(options);
+  run.jobs.resize(run.circuits.size() * columns);
+
+  // The mapped circuit and the shared columns (tspec, original power,
+  // activity) depend only on the circuit seed, never on the column, so
+  // a circuit's tasks share one build + one JobInit: whichever task
+  // arrives first computes them under the circuit's once_flag, and the
+  // values are identical to what each task would derive privately.
+  struct SharedCircuit {
+    std::once_flag once;
+    Network net;
+    JobInit init;
+  };
+  std::vector<SharedCircuit> shared(run.circuits.size());
+
+  const auto start = std::chrono::steady_clock::now();
+  ThreadPool pool(options.num_threads);
+  run.num_threads = pool.num_threads();
+  pool.parallel_for(static_cast<int>(run.jobs.size()), [&](int t) {
+    const McncDescriptor& descriptor = *run.circuits[t / columns];
+    SharedCircuit& sc = shared[t / columns];
+    FlowOptions flow = options.flow;
+    flow.activity.seed = mix_seed(options.seed, descriptor.seed);
+    std::call_once(sc.once, [&] {
+      sc.net = build_mcnc_circuit(*lib, descriptor);
+      sc.init = make_job_init(sc.net, *lib, flow);
+    });
+    std::vector<JobCell> cells;
+    cells.push_back(make_cell(descriptor, t % columns));
+    run.jobs[t] =
+        run_pipeline_job(sc.net, *lib, flow, std::move(cells), false, &sc.init);
+  });
+  run.wall_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+  return run;
+}
+
 }  // namespace
 
 FlowOptions suite_task_flow(const SuiteOptions& options,
@@ -89,70 +132,33 @@ FlowOptions suite_task_flow(const SuiteOptions& options,
 }
 
 SuiteReport run_suite(const SuiteOptions& options, const Library* lib) {
-  std::optional<Library> fallback;
-  std::optional<Library> reladdered;
-  lib = effective_library(options, lib, &fallback, &reladdered);
+  std::vector<PaperAlgo> algos;
+  if (options.run_cvs) algos.push_back(PaperAlgo::kCvs);
+  if (options.run_dscale) algos.push_back(PaperAlgo::kDscale);
+  if (options.run_gscale) algos.push_back(PaperAlgo::kGscale);
+  const int columns = static_cast<int>(algos.size());
 
-  const std::vector<const McncDescriptor*> selected =
-      select_circuits(options);
+  const MatrixRun run = run_matrix(
+      options, lib, columns, [&](const McncDescriptor& d, int column) {
+        const PaperAlgo algo = algos[column];
+        return make_paper_cell(algo, suite_task_flow(options, d, algo));
+      });
 
   SuiteReport report;
-  report.supplies = lib->supplies().voltages();
-  report.vdd_high = lib->vdd_high();
-  report.vdd_low = lib->vdd_low();
-  report.rows.resize(selected.size());
-  report.papers.reserve(selected.size());
-  for (const McncDescriptor* d : selected) report.papers.emplace_back(d->paper);
+  report.supplies = run.supplies;
+  report.vdd_high = run.supplies.front();
+  report.vdd_low = run.supplies.back();
+  report.num_threads = run.num_threads;
+  report.wall_seconds = run.wall_seconds;
+  report.rows.resize(run.circuits.size());
+  report.papers.reserve(run.circuits.size());
+  for (const McncDescriptor* d : run.circuits)
+    report.papers.emplace_back(d->paper);
 
-  // ---- build the task matrix --------------------------------------------
-  std::vector<SuiteTask> tasks;
-  for (int i = 0; i < static_cast<int>(selected.size()); ++i) {
-    if (options.run_cvs) tasks.push_back({i, selected[i], PaperAlgo::kCvs});
-    if (options.run_dscale)
-      tasks.push_back({i, selected[i], PaperAlgo::kDscale});
-    if (options.run_gscale)
-      tasks.push_back({i, selected[i], PaperAlgo::kGscale});
-  }
-
-  // Shared columns (tspec, original power) and the mapped circuit itself
-  // are deterministic per circuit and independent of the per-algorithm
-  // seeds, so the circuit's three tasks share one build + one JobInit:
-  // whichever task arrives first computes them under call_once and the
-  // values are identical to what each task would derive privately.
-  std::vector<CircuitRunResult> cells(tasks.size());
-  struct SharedCircuit {
-    std::once_flag once;
-    Network net;
-    JobInit init;
-  };
-  std::vector<SharedCircuit> shared(selected.size());
-
-  const auto start = std::chrono::steady_clock::now();
-  ThreadPool pool(options.num_threads);
-  report.num_threads = pool.num_threads();
-  pool.parallel_for(static_cast<int>(tasks.size()), [&](int t) {
-    const SuiteTask& task = tasks[t];
-    JobSpec spec;
-    spec.flow = suite_task_flow(options, *task.descriptor, task.algo);
-    spec.run_cvs = task.algo == PaperAlgo::kCvs;
-    spec.run_dscale = task.algo == PaperAlgo::kDscale;
-    spec.run_gscale = task.algo == PaperAlgo::kGscale;
-    SharedCircuit& sc = shared[task.row_index];
-    std::call_once(sc.once, [&] {
-      sc.net = build_mcnc_circuit(*lib, *task.descriptor);
-      sc.init = make_job_init(sc.net, *lib, spec.flow);
-    });
-    cells[t] = run_single_job(sc.net, *lib, spec, &sc.init);
-  });
-  report.wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-
-  // ---- merge the cells into per-circuit rows ----------------------------
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    const SuiteTask& task = tasks[t];
-    CircuitRunResult& row = report.rows[task.row_index];
-    const CircuitRunResult& cell = cells[t];
+  // Fold each cell into its circuit's row.
+  for (std::size_t t = 0; t < run.jobs.size(); ++t) {
+    CircuitRunResult& row = report.rows[t / columns];
+    const CircuitRunResult& cell = run.jobs[t].row;
     if (row.name.empty()) {
       row.name = cell.name;
       row.num_gates = cell.num_gates;
@@ -164,24 +170,7 @@ SuiteReport run_suite(const SuiteOptions& options, const Library* lib) {
       DVS_ASSERT(row.tspec_ns == cell.tspec_ns &&
                  row.org_power_uw == cell.org_power_uw);
     }
-    switch (task.algo) {
-      case PaperAlgo::kCvs:
-        row.cvs_low = cell.cvs_low;
-        row.cvs_improve_pct = cell.cvs_improve_pct;
-        break;
-      case PaperAlgo::kDscale:
-        row.dscale_low = cell.dscale_low;
-        row.dscale_lcs = cell.dscale_lcs;
-        row.dscale_improve_pct = cell.dscale_improve_pct;
-        break;
-      case PaperAlgo::kGscale:
-        row.gscale_low = cell.gscale_low;
-        row.gscale_resized = cell.gscale_resized;
-        row.gscale_area_increase = cell.gscale_area_increase;
-        row.gscale_improve_pct = cell.gscale_improve_pct;
-        row.gscale_seconds = cell.gscale_seconds;
-        break;
-    }
+    fill_paper_columns(run.jobs[t].cells[0], &row);
   }
   return report;
 }
@@ -240,20 +229,11 @@ std::string SuiteReport::to_json() const {
   return out.str();
 }
 
-void write_suite_json(const SuiteReport& report, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write suite JSON: " + path);
-  out << report.to_json();
-}
-
 // ---- pipeline matrices -----------------------------------------------------
 
 PipelineSuiteReport run_pipeline_suite(
     const SuiteOptions& options, const std::vector<std::string>& pipelines,
     const Library* lib) {
-  std::optional<Library> fallback;
-  std::optional<Library> reladdered;
-  lib = effective_library(options, lib, &fallback, &reladdered);
   DVS_EXPECTS(!pipelines.empty());
 
   PipelineSuiteReport report;
@@ -262,50 +242,35 @@ PipelineSuiteReport run_pipeline_suite(
   for (const std::string& spec : pipelines)
     report.specs.push_back(Pipeline::parse(spec).canonical_spec());
 
-  const std::vector<const McncDescriptor*> selected =
-      select_circuits(options);
-  report.cells.resize(selected.size() * pipelines.size());
-
-  const auto start = std::chrono::steady_clock::now();
-  ThreadPool pool(options.num_threads);
-  report.num_threads = pool.num_threads();
-  pool.parallel_for(
-      static_cast<int>(report.cells.size()), [&](int t) {
-        const McncDescriptor& descriptor =
-            *selected[t / pipelines.size()];
-        const std::string& spec = pipelines[t % pipelines.size()];
-        const std::uint64_t circuit_seed =
-            mix_seed(options.seed, descriptor.seed);
+  MatrixRun run = run_matrix(
+      options, lib, static_cast<int>(pipelines.size()),
+      [&](const McncDescriptor& d, int column) {
         // Parse from the *original* spec per task: which options the
         // spec set explicitly drives seed resolution, and canonical
         // respellings would erase that distinction.
         JobCell cell;
-        Pipeline pipeline = Pipeline::parse(spec);
-        pipeline.resolve_seeds(circuit_seed);
+        Pipeline pipeline = Pipeline::parse(pipelines[column]);
+        pipeline.resolve_seeds(mix_seed(options.seed, d.seed));
         cell.label = pipeline_label(pipeline);
         cell.pipeline = std::move(pipeline);
-
-        FlowOptions flow = options.flow;
-        flow.activity.seed = circuit_seed;
-        std::vector<JobCell> cells;
-        cells.push_back(std::move(cell));
-        const Network net = build_mcnc_circuit(*lib, descriptor);
-        PipelineJobResult job =
-            run_pipeline_job(net, *lib, flow, std::move(cells));
-
-        PipelineSuiteCell& out = report.cells[t];
-        out.circuit = job.row.name;
-        out.num_gates = job.row.num_gates;
-        out.tspec_ns = job.row.tspec_ns;
-        out.org_power_uw = job.row.org_power_uw;
-        out.label = job.cells[0].label;
-        out.spec = job.cells[0].spec;
-        out.improve_pct = job.cells[0].improve_pct;
-        out.run = std::move(job.cells[0].run);
+        return cell;
       });
-  report.wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
+  report.num_threads = run.num_threads;
+  report.wall_seconds = run.wall_seconds;
+
+  report.cells.reserve(run.jobs.size());
+  for (PipelineJobResult& job : run.jobs) {
+    JobCellResult& result = job.cells[0];
+    PipelineSuiteCell& out = report.cells.emplace_back();
+    out.circuit = job.row.name;
+    out.num_gates = job.row.num_gates;
+    out.tspec_ns = job.row.tspec_ns;
+    out.org_power_uw = job.row.org_power_uw;
+    out.label = std::move(result.label);
+    out.spec = std::move(result.spec);
+    out.improve_pct = result.improve_pct;
+    out.run = std::move(result.run);
+  }
   return report;
 }
 

@@ -3,9 +3,12 @@
 // aggregates the per-circuit rows into the paper's Table 1 / Table 2
 // reports plus a machine-readable JSON document (BENCH_suite.json).
 //
-// Every matrix cell is an independent task that rebuilds its circuit and
-// derives every RNG seed deterministically from (suite seed, circuit
-// seed, algorithm), so results are bit-identical regardless of thread
+// run_suite and run_pipeline_suite are two views of one matrix engine:
+// each circuit is built once and its shared columns (tspec, original
+// power, activity) computed once, then every (circuit, column) task
+// runs one job cell through run_pipeline_job.  Every RNG seed derives
+// deterministically from (suite seed, circuit seed, algorithm or
+// pipeline position), so results are bit-identical regardless of thread
 // count or scheduling — `num_threads = 1` is the serial reference path
 // and N-thread runs must reproduce it exactly (suite_test.cpp holds the
 // engine to that).
@@ -76,12 +79,9 @@ FlowOptions suite_task_flow(const SuiteOptions& options,
                             const McncDescriptor& descriptor,
                             PaperAlgo algo);
 
-void write_suite_json(const SuiteReport& report, const std::string& path);
-
 // ---- pipeline matrices -----------------------------------------------------
-// The suite engine generalized over the pass registry: the matrix is
-// circuits x pipeline specs instead of circuits x the three hard-wired
-// algorithms.  Every pass knob comes from the spec itself (that is what
+// The same engine with spec'd columns: the matrix is circuits x pipeline
+// specs instead of circuits x the three paper algorithms.  Every pass knob comes from the spec itself (that is what
 // makes a spec's canonical form the cell's full identity) — the
 // per-algorithm structs in SuiteOptions::flow are deliberately not
 // consulted; only the shared knobs (activity, freq_mhz, tspec_relax)

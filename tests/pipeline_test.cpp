@@ -225,41 +225,52 @@ TEST(PipelineRunTest, HybridBeatsOrMatchesItsBestSinglePass) {
 // ---- suite-matrix equivalence --------------------------------------------
 
 TEST(PipelineSuiteTest, CanonicalSpecsReproduceTheLegacyMatrixBitForBit) {
-  SuiteOptions options;
-  options.circuits = {"b9", "C432", "apex7"};
-  options.flow.activity.num_vectors = 512;
-  options.num_threads = 2;
+  // At the default and a 3-rung ladder, serial and threaded (the shared
+  // per-circuit build is then raced for by several tasks).
+  const std::vector<std::vector<double>> ladders = {{}, {5.0, 4.3, 3.6}};
+  for (const std::vector<double>& supplies : ladders) {
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE("rungs " + std::to_string(supplies.size()) +
+                   ", threads " + std::to_string(threads));
+      SuiteOptions options;
+      options.circuits = {"b9", "C432", "apex7"};
+      options.flow.activity.num_vectors = 512;
+      options.num_threads = threads;
+      options.supplies = supplies;
 
-  const SuiteReport legacy = run_suite(options);
-  const PipelineSuiteReport matrix =
-      run_pipeline_suite(options, {"cvs", "dscale", "gscale"});
-  ASSERT_EQ(matrix.cells.size(), legacy.rows.size() * 3);
+      const SuiteReport legacy = run_suite(options);
+      const PipelineSuiteReport matrix =
+          run_pipeline_suite(options, {"cvs", "dscale", "gscale"});
+      ASSERT_EQ(matrix.cells.size(), legacy.rows.size() * 3);
 
-  for (std::size_t i = 0; i < legacy.rows.size(); ++i) {
-    const CircuitRunResult& row = legacy.rows[i];
-    const PipelineSuiteCell& cvs = matrix.cells[i * 3 + 0];
-    const PipelineSuiteCell& dscale = matrix.cells[i * 3 + 1];
-    const PipelineSuiteCell& gscale = matrix.cells[i * 3 + 2];
+      for (std::size_t i = 0; i < legacy.rows.size(); ++i) {
+        const CircuitRunResult& row = legacy.rows[i];
+        const PipelineSuiteCell& cvs = matrix.cells[i * 3 + 0];
+        const PipelineSuiteCell& dscale = matrix.cells[i * 3 + 1];
+        const PipelineSuiteCell& gscale = matrix.cells[i * 3 + 2];
 
-    // Shared columns: bit-identical (same derived activity seed).
-    for (const PipelineSuiteCell* cell : {&cvs, &dscale, &gscale}) {
-      EXPECT_EQ(cell->circuit, row.name);
-      EXPECT_EQ(cell->num_gates, row.num_gates);
-      EXPECT_EQ(cell->tspec_ns, row.tspec_ns);
-      EXPECT_EQ(cell->org_power_uw, row.org_power_uw);
+        // Shared columns: bit-identical (same derived activity seed).
+        for (const PipelineSuiteCell* cell : {&cvs, &dscale, &gscale}) {
+          EXPECT_EQ(cell->circuit, row.name);
+          EXPECT_EQ(cell->num_gates, row.num_gates);
+          EXPECT_EQ(cell->tspec_ns, row.tspec_ns);
+          EXPECT_EQ(cell->org_power_uw, row.org_power_uw);
+        }
+        // Algorithm columns: the pipeline cells are the legacy cells.
+        EXPECT_EQ(cvs.improve_pct, row.cvs_improve_pct);
+        EXPECT_EQ(cvs.run.passes.back().low_gates, row.cvs_low);
+        EXPECT_EQ(dscale.improve_pct, row.dscale_improve_pct);
+        EXPECT_EQ(dscale.run.passes.back().low_gates, row.dscale_low);
+        EXPECT_EQ(dscale.run.passes.back().level_converters,
+                  row.dscale_lcs);
+        EXPECT_EQ(gscale.improve_pct, row.gscale_improve_pct);
+        EXPECT_EQ(gscale.run.passes.back().low_gates, row.gscale_low);
+        EXPECT_EQ(gscale.run.passes.back().resized, row.gscale_resized);
+        EXPECT_EQ(gscale.run.passes.back().details.at("area_increase")
+                      .as_double(),
+                  row.gscale_area_increase);
+      }
     }
-    // Algorithm columns: the pipeline cells are the legacy cells.
-    EXPECT_EQ(cvs.improve_pct, row.cvs_improve_pct);
-    EXPECT_EQ(cvs.run.passes.back().low_gates, row.cvs_low);
-    EXPECT_EQ(dscale.improve_pct, row.dscale_improve_pct);
-    EXPECT_EQ(dscale.run.passes.back().low_gates, row.dscale_low);
-    EXPECT_EQ(dscale.run.passes.back().level_converters, row.dscale_lcs);
-    EXPECT_EQ(gscale.improve_pct, row.gscale_improve_pct);
-    EXPECT_EQ(gscale.run.passes.back().low_gates, row.gscale_low);
-    EXPECT_EQ(gscale.run.passes.back().resized, row.gscale_resized);
-    EXPECT_EQ(gscale.run.passes.back().details.at("area_increase")
-                  .as_double(),
-              row.gscale_area_increase);
   }
 }
 

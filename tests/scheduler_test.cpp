@@ -243,13 +243,16 @@ TEST_F(SchedulerTest, CorruptRepliesRetryOnADifferentWorker) {
   start_service(config);
   // w-bad corrupts every reply body (checksum mismatch, still valid
   // JSON); w-good answers honestly.  Capacity 2 each, so the retry has
-  // a different worker to prefer.
+  // a different worker to prefer.  w-bad registers first: between idle
+  // workers the scheduler picks the earlier-registered one, so the
+  // first job lands on w-bad.
   add_worker("w-bad", "job-reply=corrupt-reply@1.0,seed=7");
+  await_workers(1);
   add_worker("w-good");
   await_workers(2);
 
-  // Enough jobs that at least one lands on w-bad first; every answer
-  // must still be correct and attributed to w-good (the retry target).
+  // Every answer must still be correct and attributed to w-good (the
+  // retry target).
   Client client(port());
   for (const char* circuit : {"x2", "z4ml", "pm1"}) {
     client.send(std::string(R"({"type":"optimize","circuit":")") +

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "benchgen/mcnc.hpp"
+#include "core/job.hpp"
+#include "library/library.hpp"
+
 namespace dvs {
 namespace {
 
@@ -43,13 +47,31 @@ TEST(SuiteTest, ParallelMatchesSerialBitForBit) {
 TEST(SuiteTest, RowsMatchThePerCircuitFlow) {
   // The engine's merged rows must agree with running the plain serial
   // flow with the engine's derived seeds — the pool adds scheduling, not
-  // semantics.
-  const SuiteReport report = run_suite(small_suite(2));
-  ASSERT_EQ(report.rows.size(), 3u);
-  for (const CircuitRunResult& row : report.rows) {
-    EXPECT_GT(row.num_gates, 0);
-    EXPECT_GT(row.org_power_uw, 0.0);
-    EXPECT_GE(row.gscale_improve_pct, row.cvs_improve_pct - 1e-9);
+  // semantics, and sharing one circuit build and JobInit across a
+  // circuit's cells changes no bit.
+  const SuiteOptions options = small_suite(2);
+  const SuiteReport report = run_suite(options);
+  ASSERT_EQ(report.rows.size(), options.circuits.size());
+  const Library lib = build_compass_library();
+  for (std::size_t i = 0; i < report.rows.size(); ++i) {
+    SCOPED_TRACE(options.circuits[i]);
+    const McncDescriptor& d = *find_mcnc(options.circuits[i]);
+    const Network net = build_mcnc_circuit(lib, d);
+    CircuitRunResult row =
+        make_job_init(net, lib, suite_task_flow(options, d, PaperAlgo::kCvs))
+            .row;
+    for (PaperAlgo algo :
+         {PaperAlgo::kCvs, PaperAlgo::kDscale, PaperAlgo::kGscale}) {
+      const FlowOptions flow = suite_task_flow(options, d, algo);
+      std::vector<JobCell> cells;
+      cells.push_back(make_paper_cell(algo, flow));
+      const PipelineJobResult job =
+          run_pipeline_job(net, lib, flow, std::move(cells));
+      EXPECT_EQ(job.row.tspec_ns, row.tspec_ns);
+      EXPECT_EQ(job.row.org_power_uw, row.org_power_uw);
+      fill_paper_columns(job.cells[0], &row);
+    }
+    expect_rows_identical(report.rows[i], row);
   }
 }
 
