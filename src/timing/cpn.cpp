@@ -8,10 +8,6 @@
 
 namespace dvs {
 
-namespace {
-constexpr double kVoltEps = 1e-6;
-}
-
 CriticalPathNetwork extract_cpn(const TimingContext& ctx,
                                 const StaResult& sta,
                                 const std::vector<NodeId>& tcb,
@@ -32,9 +28,7 @@ CriticalPathNetwork extract_cpn(const TimingContext& ctx,
     }
   }
 
-  auto has_lc = [&](NodeId id) {
-    return !ctx.lc_on_output.empty() && ctx.lc_on_output[id] != 0;
-  };
+  const timing_detail::SupplyView supply{ctx.node_vdd, ctx.lc_on_output};
 
   // The compiled graph (when current) supplies flat fanin spans and
   // pre-resolved arcs; stale or absent graphs fall back to the library.
@@ -55,10 +49,9 @@ CriticalPathNetwork extract_cpn(const TimingContext& ctx,
     const double target = sta.arrival[vid].max();
     for (std::size_t pin = 0; pin < v.fanins.size(); ++pin) {
       const NodeId uid = v.fanins[pin];
-      const bool through_lc =
-          has_lc(uid) && ctx.node_vdd[vid] > ctx.node_vdd[uid] + kVoltEps;
-      const RiseFall& in =
-          through_lc ? sta.lc_arrival[uid] : sta.arrival[uid];
+      const RiseFall& in = timing_detail::through_lc(supply, uid, vid)
+                               ? sta.lc_arrival[uid]
+                               : sta.arrival[uid];
       const RiseFall d =
           timing_detail::ArcView{arcs[pin], vf, sta.load[vid]}.delay();
       // Worst contribution of this pin to the output arrival, respecting

@@ -12,13 +12,14 @@ namespace dvs {
 
 namespace {
 
-double pin_cap_of(const Library& lib, const Node& sink, int pin) {
-  if (sink.cell >= 0) return lib.cell(sink.cell).input_cap[pin];
+// Pin cap / arc of `gate` pin `pin` when mapped to `cell` (< 0: unmapped).
+double pin_cap_of(const Library& lib, int cell, int pin) {
+  if (cell >= 0) return lib.cell(cell).input_cap[pin];
   return timing_detail::kDefaultPinCap;
 }
 
-TimingArc arc_of(const Library& lib, const Node& gate, int pin) {
-  if (gate.cell >= 0) return lib.cell(gate.cell).arcs[pin];
+TimingArc arc_of(const Library& lib, const Node& gate, int cell, int pin) {
+  if (cell >= 0) return lib.cell(cell).arcs[pin];
   return timing_detail::default_arc(gate.function, pin);
 }
 
@@ -68,7 +69,7 @@ void TimingGraph::compile() {
     const std::int32_t base = fanin_offset_[node.id];
     for (std::size_t pin = 0; pin < node.fanins.size(); ++pin) {
       fanin_[base + pin] = node.fanins[pin];
-      arc_[base + pin] = arc_of(lib, node, static_cast<int>(pin));
+      arc_[base + pin] = arc_of(lib, node, node.cell, static_cast<int>(pin));
     }
   });
 
@@ -95,7 +96,8 @@ void TimingGraph::compile() {
         double cap_sum = 0.0;
         for (std::size_t pin = 0; pin < sink.fanins.size(); ++pin) {
           if (sink.fanins[pin] != u) continue;
-          const double cap = pin_cap_of(lib, sink, static_cast<int>(pin));
+          const double cap =
+              pin_cap_of(lib, sink.cell, static_cast<int>(pin));
           entry_.push_back({vid, static_cast<std::int32_t>(pin)});
           entry_cap_.push_back(cap);
           entry_group_.push_back(group);
@@ -122,9 +124,9 @@ void TimingGraph::patch_cell(NodeId id) const {
   if (!node.is_gate()) return;
   const std::int32_t base = fanin_offset_[id];
   for (std::size_t pin = 0; pin < node.fanins.size(); ++pin) {
-    arc_[base + pin] = arc_of(*lib_, node, static_cast<int>(pin));
+    arc_[base + pin] = arc_of(*lib_, node, node.cell, static_cast<int>(pin));
     const std::int32_t e = fanin_entry_[base + pin];
-    entry_cap_[e] = pin_cap_of(*lib_, node, static_cast<int>(pin));
+    entry_cap_[e] = pin_cap_of(*lib_, node.cell, static_cast<int>(pin));
     const std::int32_t g = entry_group_[e];
     double cap_sum = 0.0;
     for (std::int32_t k = group_begin_[g]; k < group_begin_[g + 1]; ++k)
@@ -143,20 +145,86 @@ void TimingGraph::sync_cells() const {
     if (cell_[id] != net_->node(id).cell) patch_cell(id);
 }
 
+
 // ===========================================================================
 // MultiLaneSta
 // ===========================================================================
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 using timing_detail::ArcView;
-using timing_detail::DelayFactorCache;
-using timing_detail::kVoltEps;
-using timing_detail::propagate;
+using timing_detail::CommittedState;
+using timing_detail::forward_sweep;
+using timing_detail::kInf;
+using timing_detail::lc_drives;
+using timing_detail::lc_hop;
+using timing_detail::lc_output_arrival;
+using timing_detail::node_arrival;
+using timing_detail::node_load;
+using timing_detail::NodeLoad;
+using timing_detail::pin_arrival;
+using timing_detail::Recipe;
+using timing_detail::SupplyView;
 
 }  // namespace
+
+/// One lane's view of the state for the shared recipe: touched nodes read
+/// their per-lane effective supply, LC flag, arcs, pin caps and loads;
+/// everything else the committed base.  Arrivals come from the lane block
+/// at or above the dirty rank and from the base below it.
+struct MultiLaneSta::LaneView {
+  const MultiLaneSta& e;
+  const TimingGraph& g;
+  int lane;
+  int num_lanes;
+
+  std::size_t slot(int row) const {
+    return static_cast<std::size_t>(row) * num_lanes + lane;
+  }
+  double vdd(NodeId id) const {
+    const int r = e.touch_row_[id];
+    return r >= 0 ? e.eff_vdd_[slot(r)] : e.ctx_.node_vdd[id];
+  }
+  bool has_lc(NodeId id) const {
+    const int r = e.touch_row_[id];
+    if (r >= 0) return e.eff_lc_on_[slot(r)] != 0;
+    return !e.ctx_.lc_on_output.empty() && e.ctx_.lc_on_output[id] != 0;
+  }
+  double pin_cap(TimingGraph::FanoutPin fo, double graph_cap) const {
+    const int r = e.touch_row_[fo.sink];
+    if (r < 0 || e.eff_cell_[slot(r)] == kBaseCell) return graph_cap;
+    return pin_cap_of(*e.ctx_.lib, e.eff_cell_[slot(r)], fo.pin);
+  }
+  const TimingArc* arcs(NodeId id) const {
+    const int r = e.touch_row_[id];
+    return r >= 0 ? e.eff_arcs_[slot(r)] : g.arcs(id).data();
+  }
+  double load(NodeId id) const {
+    const int r = e.touch_row_[id];
+    return r >= 0 ? e.eff_load_[slot(r)] : e.base_.load[id];
+  }
+  double lc_load(NodeId id) const {
+    const int r = e.touch_row_[id];
+    return r >= 0 ? e.eff_lc_load_[slot(r)] : e.base_.lc_load[id];
+  }
+  RiseFall arrival(NodeId id) const {
+    return from_block(id, e.base_.arrival, e.lane_ar_, e.lane_af_);
+  }
+  RiseFall lc_arrival(NodeId id) const {
+    return from_block(id, e.base_.lc_arrival, e.lane_lr_, e.lane_lf_);
+  }
+
+ private:
+  RiseFall from_block(NodeId id, const std::vector<RiseFall>& base,
+                      const std::vector<double>& rise,
+                      const std::vector<double>& fall) const {
+    const int rank = g.topo_ranks()[id];
+    if (rank < e.start_rank_) return base[id];
+    const std::size_t s =
+        static_cast<std::size_t>(rank - e.start_rank_) * num_lanes + lane;
+    return {rise[s], fall[s]};
+  }
+};
 
 MultiLaneSta::MultiLaneSta(const TimingContext& ctx, double tspec)
     : ctx_(ctx), tspec_(tspec) {
@@ -230,15 +298,13 @@ const TimingGraph& MultiLaneSta::resolve_graph() {
 /// overridden node itself (arcs / supply / LC flag / load split) plus its
 /// gate fanins (their pin caps toward it, their LC flags, their LC load
 /// splits).  Everything else either sits below the dirty rank or is
-/// recomputed with operand-identical arithmetic.
+/// lane-invariant apart from its inputs.
 void MultiLaneSta::build_closure(const TimingGraph& g) {
   const int n = ctx_.net->size();
-  touched_.assign(n, 0);
   touch_row_.assign(n, -1);
   touch_list_.clear();
   auto touch = [&](NodeId id) {
-    if (touched_[id]) return;
-    touched_[id] = 1;
+    if (touch_row_[id] >= 0) return;
     touch_row_[id] = static_cast<int>(touch_list_.size());
     touch_list_.push_back(id);
   };
@@ -250,23 +316,34 @@ void MultiLaneSta::build_closure(const TimingGraph& g) {
     }
 }
 
-/// Per-(touched node, lane) effective state: rung/supply/cell from the
-/// lane's explicit overrides, LC flags re-derived with the lc_needed rule,
-/// and loads re-accumulated in compute_loads_presynced's exact per-node
-/// operation order with the lane's pin caps and LC split.
-void MultiLaneSta::fill_effective(const TimingGraph& g) {
+/// Per-(touched node, lane) effective state: rung/supply/cell/arcs from
+/// the lane's explicit overrides, LC flags re-derived with the
+/// lc_needed rule Design maintains, and loads from the shared recipe.
+void MultiLaneSta::fill_effective(const TimingGraph& g,
+                                  const Recipe& k) {
+  const Network& net = *ctx_.net;
   const Library& lib = *ctx_.lib;
   const int nl = num_lanes();
   const int rows = static_cast<int>(touch_list_.size());
-  eff_vdd_.resize(static_cast<std::size_t>(rows) * nl);
-  eff_level_.resize(static_cast<std::size_t>(rows) * nl);
-  eff_cell_.resize(static_cast<std::size_t>(rows) * nl);
-  eff_load_.resize(static_cast<std::size_t>(rows) * nl);
-  eff_lc_load_.resize(static_cast<std::size_t>(rows) * nl);
-  eff_lc_on_.resize(static_cast<std::size_t>(rows) * nl);
-  eff_lc_active_.resize(static_cast<std::size_t>(rows) * nl);
+  const std::size_t slots = static_cast<std::size_t>(rows) * nl;
+  eff_vdd_.resize(slots);
+  eff_level_.resize(slots);
+  eff_lc_on_.resize(slots);
+  eff_load_.resize(slots);
+  eff_lc_load_.resize(slots);
+  eff_cell_.resize(slots);
+  eff_arcs_.resize(slots);
 
-  const bool any_lc = !ctx_.lc_on_output.empty();
+  // Unmapped cell overrides time with default arcs, which live here; the
+  // reserve keeps the slot pointers into it stable.
+  std::size_t default_pins = 0;
+  for (const std::vector<Override>& lane : lanes_)
+    for (const Override& o : lane)
+      if (o.has_cell && o.cell < 0) default_pins += g.fanins(o.node).size();
+  default_arcs_.clear();
+  default_arcs_.reserve(default_pins);
+
+  const SupplyView base{ctx_.node_vdd, ctx_.lc_on_output};
   const bool have_levels = !ctx_.node_level.empty();
   for (int r = 0; r < rows; ++r) {
     const NodeId id = touch_list_[r];
@@ -274,12 +351,9 @@ void MultiLaneSta::fill_effective(const TimingGraph& g) {
       const std::size_t s = static_cast<std::size_t>(r) * nl + l;
       eff_vdd_[s] = ctx_.node_vdd[id];
       eff_level_[s] = have_levels ? ctx_.node_level[id] : kTopRung;
+      eff_lc_on_[s] = base.has_lc(id);
       eff_cell_[s] = kBaseCell;
-      eff_lc_on_[s] = any_lc ? ctx_.lc_on_output[id] : 0;
-      eff_lc_active_[s] =
-          eff_lc_on_[s] && base_loads_.lc_fanout_pins[id] > 0;
-      eff_load_[s] = base_loads_.direct[id];
-      eff_lc_load_[s] = base_loads_.lc[id];
+      eff_arcs_[s] = g.arcs(id).data();
     }
   }
   for (int l = 0; l < nl; ++l)
@@ -292,23 +366,26 @@ void MultiLaneSta::fill_effective(const TimingGraph& g) {
         // identical to the committed vector's.
         eff_vdd_[s] = lib.supplies().voltage(o.level);
       }
-      if (o.has_cell) eff_cell_[s] = o.cell;
+      if (!o.has_cell) continue;
+      eff_cell_[s] = o.cell;
+      if (o.cell >= 0) {
+        eff_arcs_[s] = lib.cell(o.cell).arcs.data();
+        continue;
+      }
+      eff_arcs_[s] = default_arcs_.data() + default_arcs_.size();
+      const Node& node = net.node(o.node);
+      for (int pin = 0; pin < static_cast<int>(node.fanins.size()); ++pin)
+        default_arcs_.push_back(arc_of(lib, node, -1, pin));
     }
 
+  // LC flags: only lanes that move rungs can change them, and only on
+  // touched nodes (a flag depends on the node's and its fanouts' rungs;
+  // nodes with an overridden fanout are exactly the touched fanins).
   auto eff_level_of = [&](NodeId id, int l) -> SupplyId {
     const int r = touch_row_[id];
     if (r >= 0) return eff_level_[static_cast<std::size_t>(r) * nl + l];
     return ctx_.node_level[id];
   };
-  auto eff_vdd_of = [&](NodeId id, int l) -> double {
-    const int r = touch_row_[id];
-    if (r >= 0) return eff_vdd_[static_cast<std::size_t>(r) * nl + l];
-    return ctx_.node_vdd[id];
-  };
-
-  // LC flags: only lanes that move rungs can change them, and only on
-  // touched nodes (a flag depends on the node's and its fanouts' rungs;
-  // nodes with an overridden fanout are exactly the touched fanins).
   for (int l = 0; l < nl; ++l) {
     if (!lane_has_level_[l]) continue;
     for (int r = 0; r < rows; ++r) {
@@ -327,115 +404,21 @@ void MultiLaneSta::fill_effective(const TimingGraph& g) {
     }
   }
 
-  // Loads, replicating compute_loads_presynced per node: split the entry
-  // caps in entry order, then the driven ports, then the LC input cap and
-  // the two wire loads.
-  const Cell* lc_cell =
-      lib.level_converter() >= 0 ? &lib.cell(lib.level_converter()) : nullptr;
-  for (int r = 0; r < rows; ++r) {
-    const NodeId u = touch_list_[r];
-    const auto pins = g.fanout_pins(u);
-    const auto caps = g.fanout_pin_caps(u);
-    for (int l = 0; l < nl; ++l) {
+  for (int l = 0; l < nl; ++l) {
+    const LaneView view{*this, g, l, nl};
+    for (int r = 0; r < rows; ++r) {
       const std::size_t s = static_cast<std::size_t>(r) * nl + l;
-      const bool u_has_lc = eff_lc_on_[s] != 0;
-      const double u_vdd = eff_vdd_[s];
-      double direct = 0.0, lc = 0.0;
-      int dcount = 0, lcount = 0;
-      for (std::size_t e = 0; e < pins.size(); ++e) {
-        const NodeId sink = pins[e].sink;
-        double cap = caps[e];
-        const int sr = touch_row_[sink];
-        if (sr >= 0) {
-          const int c = eff_cell_[static_cast<std::size_t>(sr) * nl + l];
-          if (c != kBaseCell)
-            cap = c >= 0 ? lib.cell(c).input_cap[pins[e].pin]
-                         : timing_detail::kDefaultPinCap;
-        }
-        if (u_has_lc && eff_vdd_of(sink, l) > u_vdd + kVoltEps) {
-          lc += cap;
-          ++lcount;
-        } else {
-          direct += cap;
-          ++dcount;
-        }
-      }
-      for (int p = 0; p < g.port_fanout_count(u); ++p) {
-        direct += ctx_.output_port_load;
-        ++dcount;
-      }
-      if (lcount > 0) {
-        DVS_ASSERT(lc_cell != nullptr);
-        direct += lc_cell->input_cap[0];
-        ++dcount;
-        lc += lib.wire_load().wire_cap(lcount);
-      }
-      direct += lib.wire_load().wire_cap(dcount);
-      eff_load_[s] = direct;
-      eff_lc_load_[s] = lc;
-      eff_lc_active_[s] = u_has_lc && lcount > 0;
+      const NodeLoad load =
+          node_load(k, g, touch_list_[r], view);
+      eff_load_[s] = load.direct;
+      eff_lc_load_[s] = load.lc;
     }
   }
 }
 
-/// The committed state's forward sweep — operation-for-operation the
-/// forward half of run_sta_flat, so base arrivals (and with them every
-/// lane's below-dirty-rank reads) are bit-identical to run_sta.
-void MultiLaneSta::sweep_base(const TimingGraph& g) {
+void MultiLaneSta::sweep_lanes(const TimingGraph& g,
+                               Recipe& k) {
   const Network& net = *ctx_.net;
-  const Library& lib = *ctx_.lib;
-  const int n = net.size();
-  DelayFactorCache delay_factor(lib.voltage_model(), lib.supplies());
-
-  const bool any_lc = !ctx_.lc_on_output.empty();
-  auto has_lc = [&](NodeId id) {
-    return any_lc && ctx_.lc_on_output[id] != 0;
-  };
-  const Cell* lc_cell =
-      lib.level_converter() >= 0 ? &lib.cell(lib.level_converter()) : nullptr;
-
-  base_arr_.assign(n, RiseFall{});
-  base_lc_.assign(n, RiseFall{});
-  const std::vector<double>& load = base_loads_.direct;
-  const std::vector<int>& lc_count = base_loads_.lc_fanout_pins;
-  const double vdd_high = lib.vdd_high();
-  for (NodeId id : g.topo_order()) {
-    const std::span<const NodeId> fi = g.fanins(id);
-    RiseFall arr{0.0, 0.0};
-    if (g.is_gate(id) && !fi.empty()) {
-      arr = {-kInf, -kInf};
-      const double vf = delay_factor(ctx_.node_vdd[id]);
-      const std::span<const TimingArc> arcs = g.arcs(id);
-      const double ld = load[id];
-      for (std::size_t pin = 0; pin < fi.size(); ++pin) {
-        const NodeId uid = fi[pin];
-        const TimingArc& arc = arcs[pin];
-        const RiseFall d = ArcView{arc, vf, ld}.delay();
-        const bool through_lc =
-            has_lc(uid) &&
-            ctx_.node_vdd[id] > ctx_.node_vdd[uid] + kVoltEps;
-        const RiseFall& in = through_lc ? base_lc_[uid] : base_arr_[uid];
-        const RiseFall cand = propagate(in, arc, d);
-        arr.rise = std::max(arr.rise, cand.rise);
-        arr.fall = std::max(arr.fall, cand.fall);
-      }
-    }
-    base_arr_[id] = arr;
-    if (has_lc(id) && lc_count[id] > 0) {
-      const double vf = delay_factor(vdd_high);
-      const RiseFall d =
-          ArcView{lc_cell->arcs[0], vf, base_loads_.lc[id]}.delay();
-      base_lc_[id] = propagate(arr, lc_cell->arcs[0], d);
-    }
-  }
-  base_worst_ = 0.0;
-  for (const OutputPort& port : net.outputs())
-    base_worst_ = std::max(base_worst_, base_arr_[port.driver].max());
-}
-
-void MultiLaneSta::sweep_lanes(const TimingGraph& g) {
-  const Network& net = *ctx_.net;
-  const Library& lib = *ctx_.lib;
   const int nl = num_lanes();
   const std::vector<NodeId>& order = g.topo_order();
   const std::vector<int>& rank = g.topo_ranks();
@@ -451,200 +434,112 @@ void MultiLaneSta::sweep_lanes(const TimingGraph& g) {
   lane_worst_.assign(nl, 0.0);
   if (nl == 0) return;
 
-  DelayFactorCache delay_factor(lib.voltage_model(), lib.supplies());
-  const bool any_lc = !ctx_.lc_on_output.empty();
-  auto has_lc = [&](NodeId id) {
-    return any_lc && ctx_.lc_on_output[id] != 0;
-  };
-  const Cell* lc_cell =
-      lib.level_converter() >= 0 ? &lib.cell(lib.level_converter()) : nullptr;
-  const double vdd_high = lib.vdd_high();
-  const std::vector<double>& base_load = base_loads_.direct;
-  const std::vector<int>& base_lcc = base_loads_.lc_fanout_pins;
-
+  const CommittedState base(ctx_, g, base_);
   auto lane_row = [&](std::vector<double>& v, NodeId id) -> double* {
     return v.data() + static_cast<std::size_t>(rank[id] - start_rank_) * nl;
   };
 
   for (int oi = start_rank_; oi < static_cast<int>(order.size()); ++oi) {
     const NodeId id = order[oi];
-    double* ar = lane_ar_.data() + static_cast<std::size_t>(oi - start_rank_) * nl;
-    double* af = lane_af_.data() + static_cast<std::size_t>(oi - start_rank_) * nl;
-    double* lr = lane_lr_.data() + static_cast<std::size_t>(oi - start_rank_) * nl;
-    double* lf = lane_lf_.data() + static_cast<std::size_t>(oi - start_rank_) * nl;
+    const std::size_t at = static_cast<std::size_t>(oi - start_rank_) * nl;
+    double* ar = lane_ar_.data() + at;
+    double* af = lane_af_.data() + at;
+    double* lr = lane_lr_.data() + at;
+    double* lf = lane_lf_.data() + at;
     const std::span<const NodeId> fi = g.fanins(id);
-    const int row = touch_row_[id];
 
-    if (!g.is_gate(id) || fi.empty()) {
-      // Inputs / constant gates arrive at t=0 in every lane.
-      for (int l = 0; l < nl; ++l) ar[l] = 0.0;
-      for (int l = 0; l < nl; ++l) af[l] = 0.0;
-    } else if (row < 0) {
-      // Fast path: the node itself is identical in all lanes — scalar
-      // supply factor, load and arcs; only the inputs vary by lane.
-      const double vf = delay_factor(ctx_.node_vdd[id]);
+    if (touch_row_[id] >= 0) {
+      // The node differs between lanes: run the recipe once per lane
+      // through that lane's view.
+      for (int l = 0; l < nl; ++l) {
+        const LaneView view{*this, g, l, nl};
+        const RiseFall arr = node_arrival(k, g, id, view);
+        const RiseFall lc =
+            lc_output_arrival(k, g, id, arr, view);
+        ar[l] = arr.rise;
+        af[l] = arr.fall;
+        lr[l] = lc.rise;
+        lf[l] = lc.fall;
+      }
+      continue;
+    }
+    // Inputs and constant gates stay at t=0 in every lane.
+    if (g.is_gate(id) && !fi.empty()) {
+      // Fast path: node_arrival specialised to a node that is identical in
+      // all lanes — scalar supply factor, load and arcs; only the input
+      // arrivals (and, behind a touched fanin, their routing) vary.
+      const double vf = k.factor(ctx_.node_vdd[id]);
       const std::span<const TimingArc> arcs = g.arcs(id);
-      const double ld = base_load[id];
+      const double ld = base_.load[id];
       for (int l = 0; l < nl; ++l) ar[l] = -kInf;
       for (int l = 0; l < nl; ++l) af[l] = -kInf;
       for (std::size_t pin = 0; pin < fi.size(); ++pin) {
         const NodeId uid = fi[pin];
         const TimingArc& arc = arcs[pin];
         const RiseFall d = ArcView{arc, vf, ld}.delay();
-        const int urow = touch_row_[uid];
-        if (urow < 0) {
-          const bool through_lc =
-              has_lc(uid) &&
-              ctx_.node_vdd[id] > ctx_.node_vdd[uid] + kVoltEps;
-          if (rank[uid] < start_rank_) {
-            // Below the dirty rank every lane reads the base arrival.
-            const RiseFall& in =
-                through_lc ? base_lc_[uid] : base_arr_[uid];
-            const RiseFall cand = propagate(in, arc, d);
-            for (int l = 0; l < nl; ++l)
-              ar[l] = std::max(ar[l], cand.rise);
-            for (int l = 0; l < nl; ++l)
-              af[l] = std::max(af[l], cand.fall);
-          } else {
-            const double* inr =
-                through_lc ? lane_row(lane_lr_, uid) : lane_row(lane_ar_, uid);
-            const double* inf =
-                through_lc ? lane_row(lane_lf_, uid) : lane_row(lane_af_, uid);
-            // Contiguous per-lane runs with no lane-dependent branches:
-            // the auto-vectorizable core of the engine.
-            switch (arc.sense) {
-              case ArcSense::kPositiveUnate:
-                for (int l = 0; l < nl; ++l)
-                  ar[l] = std::max(ar[l], inr[l] + d.rise);
-                for (int l = 0; l < nl; ++l)
-                  af[l] = std::max(af[l], inf[l] + d.fall);
-                break;
-              case ArcSense::kNegativeUnate:
-                for (int l = 0; l < nl; ++l)
-                  ar[l] = std::max(ar[l], inf[l] + d.rise);
-                for (int l = 0; l < nl; ++l)
-                  af[l] = std::max(af[l], inr[l] + d.fall);
-                break;
-              case ArcSense::kNonUnate:
-              default:
-                for (int l = 0; l < nl; ++l) {
-                  const double worst = std::max(inr[l], inf[l]);
-                  ar[l] = std::max(ar[l], worst + d.rise);
-                  af[l] = std::max(af[l], worst + d.fall);
-                }
-                break;
-            }
-          }
-        } else {
-          // Overridden fanin: its LC flag / supply differ per lane, so
-          // the through-LC routing is resolved lane by lane.
+        if (rank[uid] < start_rank_) {
+          // Below the dirty rank every lane reads the base arrival.
+          const RiseFall cand =
+              pin_arrival(base, uid, id, arc, d);
+          for (int l = 0; l < nl; ++l) ar[l] = std::max(ar[l], cand.rise);
+          for (int l = 0; l < nl; ++l) af[l] = std::max(af[l], cand.fall);
+          continue;
+        }
+        if (touch_row_[uid] >= 0) {
+          // A touched fanin's supply and LC flag differ per lane, so the
+          // pin's converter routing is resolved lane by lane.
           for (int l = 0; l < nl; ++l) {
-            const std::size_t us = static_cast<std::size_t>(urow) * nl + l;
-            const bool through_lc =
-                eff_lc_on_[us] != 0 &&
-                ctx_.node_vdd[id] > eff_vdd_[us] + kVoltEps;
-            const RiseFall in =
-                through_lc
-                    ? RiseFall{lane_row(lane_lr_, uid)[l],
-                               lane_row(lane_lf_, uid)[l]}
-                    : RiseFall{lane_row(lane_ar_, uid)[l],
-                               lane_row(lane_af_, uid)[l]};
-            const RiseFall cand = propagate(in, arc, d);
+            const RiseFall cand = pin_arrival(
+                LaneView{*this, g, l, nl}, uid, id, arc, d);
             ar[l] = std::max(ar[l], cand.rise);
             af[l] = std::max(af[l], cand.fall);
           }
-        }
-      }
-    } else {
-      // Slow path: the node carries overrides in some lane — evaluate
-      // each lane with its effective supply, cell, loads and flags,
-      // replicating run_sta_flat's per-node recipe exactly.
-      const std::span<const TimingArc> base_arcs = g.arcs(id);
-      for (int l = 0; l < nl; ++l) {
-        const std::size_t s = static_cast<std::size_t>(row) * nl + l;
-        const double vf = delay_factor(eff_vdd_[s]);
-        const double ld = eff_load_[s];
-        const int c = eff_cell_[s];
-        const TimingArc* arcs = base_arcs.data();
-        if (c != kBaseCell) {
-          if (c >= 0) {
-            arcs = lib.cell(c).arcs.data();
-          } else {
-            scratch_arcs_.clear();
-            const Node& node = net.node(id);
-            for (std::size_t pin = 0; pin < fi.size(); ++pin)
-              scratch_arcs_.push_back(timing_detail::default_arc(
-                  node.function, static_cast<int>(pin)));
-            arcs = scratch_arcs_.data();
-          }
-        }
-        RiseFall arr{-kInf, -kInf};
-        for (std::size_t pin = 0; pin < fi.size(); ++pin) {
-          const NodeId uid = fi[pin];
-          const TimingArc& arc = arcs[pin];
-          const RiseFall d = ArcView{arc, vf, ld}.delay();
-          const int urow = touch_row_[uid];
-          bool through_lc;
-          if (urow < 0) {
-            through_lc =
-                has_lc(uid) && eff_vdd_[s] > ctx_.node_vdd[uid] + kVoltEps;
-          } else {
-            const std::size_t us = static_cast<std::size_t>(urow) * nl + l;
-            through_lc =
-                eff_lc_on_[us] != 0 && eff_vdd_[s] > eff_vdd_[us] + kVoltEps;
-          }
-          RiseFall in;
-          if (rank[uid] < start_rank_) {
-            in = through_lc ? base_lc_[uid] : base_arr_[uid];
-          } else if (through_lc) {
-            in = {lane_row(lane_lr_, uid)[l], lane_row(lane_lf_, uid)[l]};
-          } else {
-            in = {lane_row(lane_ar_, uid)[l], lane_row(lane_af_, uid)[l]};
-          }
-          const RiseFall cand = propagate(in, arc, d);
-          arr.rise = std::max(arr.rise, cand.rise);
-          arr.fall = std::max(arr.fall, cand.fall);
-        }
-        ar[l] = arr.rise;
-        af[l] = arr.fall;
-      }
-    }
-
-    // Level-converter output arrivals.
-    if (row < 0) {
-      if (has_lc(id) && base_lcc[id] > 0) {
-        const double vf = delay_factor(vdd_high);
-        const RiseFall d =
-            ArcView{lc_cell->arcs[0], vf, base_loads_.lc[id]}.delay();
-        for (int l = 0; l < nl; ++l) {
-          const RiseFall out =
-              propagate({ar[l], af[l]}, lc_cell->arcs[0], d);
-          lr[l] = out.rise;
-          lf[l] = out.fall;
-        }
-      }
-    } else {
-      for (int l = 0; l < nl; ++l) {
-        const std::size_t s = static_cast<std::size_t>(row) * nl + l;
-        if (!eff_lc_active_[s]) {
-          lr[l] = 0.0;
-          lf[l] = 0.0;
           continue;
         }
-        const double vf = delay_factor(vdd_high);
-        const RiseFall d =
-            ArcView{lc_cell->arcs[0], vf, eff_lc_load_[s]}.delay();
-        const RiseFall out = propagate({ar[l], af[l]}, lc_cell->arcs[0], d);
-        lr[l] = out.rise;
-        lf[l] = out.fall;
+        const bool through_lc = timing_detail::through_lc(base, uid, id);
+        const double* inr =
+            through_lc ? lane_row(lane_lr_, uid) : lane_row(lane_ar_, uid);
+        const double* inf =
+            through_lc ? lane_row(lane_lf_, uid) : lane_row(lane_af_, uid);
+        // Contiguous per-lane runs with no lane-dependent branches: the
+        // auto-vectorizable core of the engine (propagate() per sense).
+        switch (arc.sense) {
+          case ArcSense::kPositiveUnate:
+            for (int l = 0; l < nl; ++l)
+              ar[l] = std::max(ar[l], inr[l] + d.rise);
+            for (int l = 0; l < nl; ++l)
+              af[l] = std::max(af[l], inf[l] + d.fall);
+            break;
+          case ArcSense::kNegativeUnate:
+            for (int l = 0; l < nl; ++l)
+              ar[l] = std::max(ar[l], inf[l] + d.rise);
+            for (int l = 0; l < nl; ++l)
+              af[l] = std::max(af[l], inr[l] + d.fall);
+            break;
+          case ArcSense::kNonUnate:
+          default:
+            for (int l = 0; l < nl; ++l) {
+              const double worst = std::max(inr[l], inf[l]);
+              ar[l] = std::max(ar[l], worst + d.rise);
+              af[l] = std::max(af[l], worst + d.fall);
+            }
+            break;
+        }
       }
     }
+    if (lc_drives(g, id, base))
+      for (int l = 0; l < nl; ++l) {
+        const RiseFall lc =
+            lc_hop(k, {ar[l], af[l]}, base_.lc_load[id]);
+        lr[l] = lc.rise;
+        lf[l] = lc.fall;
+      }
   }
 
   for (const OutputPort& port : net.outputs()) {
     const NodeId d = port.driver;
     if (rank[d] < start_rank_) {
-      const double w = base_arr_[d].max();
+      const double w = base_.arrival[d].max();
       for (int l = 0; l < nl; ++l)
         lane_worst_[l] = std::max(lane_worst_[l], w);
     } else {
@@ -659,13 +554,11 @@ void MultiLaneSta::sweep_lanes(const TimingGraph& g) {
 void MultiLaneSta::run() {
   const TimingGraph& g = resolve_graph();
   g.sync_cells();
-  LoadContext lctx{ctx_.net,  ctx_.lib, ctx_.node_vdd, ctx_.lc_on_output,
-                   ctx_.output_port_load, &g};
-  base_loads_ = timing_detail::compute_loads_presynced(lctx, g);
-  sweep_base(g);
+  Recipe k(*ctx_.lib, ctx_.output_port_load);
+  forward_sweep(ctx_, g, k, base_);
   build_closure(g);
-  fill_effective(g);
-  sweep_lanes(g);
+  fill_effective(g, k);
+  sweep_lanes(g, k);
   ran_lanes_ = num_lanes();
 }
 
@@ -682,7 +575,7 @@ RiseFall MultiLaneSta::arrival(int lane, NodeId id) const {
           : fallback_.get();
   DVS_EXPECTS(g != nullptr);
   const int rank = g->topo_ranks()[id];
-  if (rank < start_rank_) return base_arr_[id];
+  if (rank < start_rank_) return base_.arrival[id];
   const std::size_t s =
       static_cast<std::size_t>(rank - start_rank_) * ran_lanes_ + lane;
   return {lane_ar_[s], lane_af_[s]};

@@ -36,10 +36,13 @@
 
 #include "library/library.hpp"
 #include "netlist/network.hpp"
-#include "timing/loads.hpp"
 #include "timing/sta.hpp"
 
 namespace dvs {
+
+namespace timing_detail {
+struct Recipe;
+}
 
 class TimingGraph {
  public:
@@ -189,16 +192,17 @@ class TimingGraph {
 ///
 /// Exactness: lane results are bit-identical to re-running the full
 /// single-assignment STA on a design carrying the lane's overrides —
-/// not approximately equal.  This holds because every per-lane value is
-/// produced by the same operation sequence run_sta_flat uses: delay
-/// factors come from the same pre-seeded DelayFactorCache, per-node
-/// loads replicate compute_loads_presynced's entry-order accumulation
-/// with the lane's effective pin caps and LC split, LC boundary flags are
-/// re-derived with the same `lc_needed` rule Design maintains, and the
-/// max-folds over pins and output ports are order-insensitive.  Nodes a
-/// lane does not influence are either skipped (below the start rank) or
-/// recomputed with operand-identical arithmetic, so they reproduce the
-/// base doubles byte-for-byte.
+/// not approximately equal.  The base is run_sta's own forward sweep, and
+/// every node a lane can influence directly (an overridden node and its
+/// gate fanins) calls the same per-node recipe run_sta calls
+/// (timing/arc_eval.hpp) through a per-lane state view: the lane's
+/// supplies, arcs and pin caps, LC flags re-derived with the `lc_needed`
+/// rule Design maintains, and loads from the recipe's load step.  The
+/// remaining nodes above the dirty rank take the fast path — the same
+/// recipe specialised to one scalar delay per pin with branch-free
+/// contiguous loops over lanes (a touched fanin's pin runs the recipe's
+/// pin step per lane) — so they reproduce the base doubles wherever
+/// their inputs do.
 ///
 /// The context's spans must stay alive and describe the committed state
 /// for the engine's lifetime; point cell edits in the underlying network
@@ -232,7 +236,7 @@ class MultiLaneSta {
   double tspec() const { return tspec_; }
   /// Worst arrival of the committed (no-override) state, from the last
   /// run().
-  double base_worst_arrival() const { return base_worst_; }
+  double base_worst_arrival() const { return base_.worst_arrival; }
   double worst_arrival(int lane) const;
   double worst_slack(int lane) const { return tspec_ - worst_arrival(lane); }
   /// Arrival at `id`'s output in `lane`, from the last run().
@@ -249,11 +253,12 @@ class MultiLaneSta {
     char has_cell = 0;
   };
 
+  struct LaneView;
+
   const TimingGraph& resolve_graph();
   void build_closure(const TimingGraph& g);
-  void fill_effective(const TimingGraph& g);
-  void sweep_base(const TimingGraph& g);
-  void sweep_lanes(const TimingGraph& g);
+  void fill_effective(const TimingGraph& g, const timing_detail::Recipe& k);
+  void sweep_lanes(const TimingGraph& g, timing_detail::Recipe& k);
 
   TimingContext ctx_;
   double tspec_ = 0.0;
@@ -264,10 +269,7 @@ class MultiLaneSta {
   std::vector<char> lane_has_level_;  // lane carries >=1 level override
 
   // ---- products of the last run() ---------------------------------------
-  NodeLoads base_loads_;
-  std::vector<RiseFall> base_arr_;
-  std::vector<RiseFall> base_lc_;
-  double base_worst_ = 0.0;
+  StaResult base_;  // committed state: loads, arrivals, worst arrival
   int start_rank_ = 0;
   int ran_lanes_ = 0;
   // Lane block: node (by rank - start_rank_) major, lane minor.
@@ -275,16 +277,16 @@ class MultiLaneSta {
   std::vector<double> lane_worst_;
 
   // ---- override closure + per-(touched node, lane) effective state ------
-  std::vector<char> touched_;    // per node id: overridden/adjacent, any lane
   std::vector<int> touch_row_;   // node id -> row in eff arrays, or -1
   std::vector<NodeId> touch_list_;
-  static constexpr int kBaseCell = -2;  // eff_cell_ sentinel: no override
+  // Slot (row, lane) = row * num_lanes() + lane.
   std::vector<double> eff_vdd_, eff_load_, eff_lc_load_;
   std::vector<SupplyId> eff_level_;
+  std::vector<char> eff_lc_on_;  // lane LC flag (lc_needed)
+  static constexpr int kBaseCell = -2;  // eff_cell_ sentinel: no override
   std::vector<int> eff_cell_;
-  std::vector<char> eff_lc_on_;      // lane LC flag (lc_needed)
-  std::vector<char> eff_lc_active_;  // flag && lane lc fanout pins > 0
-  std::vector<TimingArc> scratch_arcs_;
+  std::vector<const TimingArc*> eff_arcs_;  // per-pin arcs of the slot
+  std::vector<TimingArc> default_arcs_;     // of unmapped cell overrides
 };
 
 }  // namespace dvs

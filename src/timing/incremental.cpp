@@ -1,6 +1,5 @@
 #include "timing/incremental.hpp"
 
-#include <cmath>
 #include <set>
 
 #include "support/contracts.hpp"
@@ -11,17 +10,21 @@ namespace dvs {
 
 namespace {
 
-constexpr double kEps = 1e-12;
+using timing_detail::CommittedState;
+using timing_detail::fold_required;
+using timing_detail::kInf;
+using timing_detail::lc_output_arrival;
+using timing_detail::node_arrival;
+using timing_detail::node_load;
+using timing_detail::NodeLoad;
+using timing_detail::pin_required;
+using timing_detail::Recipe;
+using timing_detail::sink_timing;
+using timing_detail::slack_of;
+using timing_detail::worst_port_arrival;
 
-using timing_detail::ArcView;
-using timing_detail::back_propagate;
-using timing_detail::DelayFactorCache;
-using timing_detail::kVoltEps;
-using timing_detail::propagate;
-
-bool differs(const RiseFall& a, const RiseFall& b) {
-  return std::abs(a.rise - b.rise) > kEps ||
-         std::abs(a.fall - b.fall) > kEps;
+bool moved(const RiseFall& a, const RiseFall& b) {
+  return a.rise != b.rise || a.fall != b.fall;
 }
 
 }  // namespace
@@ -54,151 +57,40 @@ void IncrementalSta::full_recompute() {
     graph_ = owned_graph_.get();
   }
   result_ = analyze_full();
-  port_arrival_moved_ = false;
 }
 
-bool IncrementalSta::recompute_load(NodeId id) {
-  const Library& lib = *ctx_.lib;
-  const TimingGraph& g = *graph_;
-  const bool id_has_lc =
-      !ctx_.lc_on_output.empty() && ctx_.lc_on_output[id] != 0;
-
-  double direct = 0.0, lc = 0.0;
-  int direct_count = 0, lc_count = 0;
-  const auto pins = g.fanout_pins(id);
-  const auto caps = g.fanout_pin_caps(id);
-  const double id_vdd = ctx_.node_vdd[id];
-  for (std::size_t e = 0; e < pins.size(); ++e) {
-    const bool through_lc =
-        id_has_lc && ctx_.node_vdd[pins[e].sink] > id_vdd + kVoltEps;
-    if (through_lc) {
-      lc += caps[e];
-      ++lc_count;
-    } else {
-      direct += caps[e];
-      ++direct_count;
-    }
-  }
-  for (int k = 0; k < g.port_fanout_count(id); ++k) {
-    direct += ctx_.output_port_load;
-    ++direct_count;
-  }
-  if (lc_count > 0) {
-    const Cell& lc_cell = lib.cell(lib.level_converter());
-    direct += lc_cell.input_cap[0];
-    ++direct_count;
-    lc += lib.wire_load().wire_cap(lc_count);
-  }
-  direct += lib.wire_load().wire_cap(direct_count);
-
-  const bool changed = std::abs(direct - result_.load[id]) > kEps ||
-                       std::abs(lc - result_.lc_load[id]) > kEps;
-  result_.load[id] = direct;
-  result_.lc_load[id] = lc;
-  return changed;
+void IncrementalSta::recompute_load(NodeId id, const Recipe& k) {
+  const NodeLoad load =
+      node_load(k, *graph_, id, CommittedState(ctx_, *graph_, result_));
+  result_.load[id] = load.direct;
+  result_.lc_load[id] = load.lc;
 }
 
-bool IncrementalSta::recompute_arrival(NodeId id, DelayFactorCache& df) {
-  const Library& lib = *ctx_.lib;
-  const TimingGraph& g = *graph_;
-  auto has_lc = [&](NodeId n) {
-    return !ctx_.lc_on_output.empty() && ctx_.lc_on_output[n] != 0;
-  };
-
-  const std::span<const NodeId> fi = g.fanins(id);
-  RiseFall arr{0.0, 0.0};
-  if (g.is_gate(id) && !fi.empty()) {
-    arr = {-1e30, -1e30};
-    const double vf = df(ctx_.node_vdd[id]);
-    const std::span<const TimingArc> arcs = g.arcs(id);
-    const double load = result_.load[id];
-    for (std::size_t pin = 0; pin < fi.size(); ++pin) {
-      const NodeId uid = fi[pin];
-      const TimingArc& arc = arcs[pin];
-      const RiseFall d = ArcView{arc, vf, load}.delay();
-      const bool through_lc =
-          has_lc(uid) && ctx_.node_vdd[id] > ctx_.node_vdd[uid] + kVoltEps;
-      const RiseFall& in =
-          through_lc ? result_.lc_arrival[uid] : result_.arrival[uid];
-      const RiseFall cand = propagate(in, arc, d);
-      arr.rise = std::max(arr.rise, cand.rise);
-      arr.fall = std::max(arr.fall, cand.fall);
-    }
-  }
-
-  RiseFall lc_arr{};
-  if (has_lc(id) && result_.lc_load[id] > 0.0) {
-    const Cell& lc_cell = lib.cell(lib.level_converter());
-    const double vf = df(lib.vdd_high());
-    const RiseFall d =
-        ArcView{lc_cell.arcs[0], vf, result_.lc_load[id]}.delay();
-    lc_arr = propagate(arr, lc_cell.arcs[0], d);
-  }
-
-  const bool changed = differs(arr, result_.arrival[id]) ||
-                       differs(lc_arr, result_.lc_arrival[id]);
-  // Even a sub-kEps wiggle on a port driver shifts the worst-arrival
-  // fold, so the staleness test is bitwise, not tolerance-based.
-  if (g.port_fanout_count(id) > 0 &&
-      (arr.rise != result_.arrival[id].rise ||
-       arr.fall != result_.arrival[id].fall))
-    port_arrival_moved_ = true;
+bool IncrementalSta::recompute_arrival(NodeId id, Recipe& k) {
+  const CommittedState s(ctx_, *graph_, result_);
+  const RiseFall arr = node_arrival(k, *graph_, id, s);
+  const RiseFall lc_arr = lc_output_arrival(k, *graph_, id, arr, s);
+  const bool changed =
+      moved(arr, result_.arrival[id]) || moved(lc_arr, result_.lc_arrival[id]);
   result_.arrival[id] = arr;
   result_.lc_arrival[id] = lc_arr;
-  result_.slack[id] = std::min(result_.required[id].rise - arr.rise,
-                               result_.required[id].fall - arr.fall);
+  result_.slack[id] = slack_of(arr, result_.required[id]);
   return changed;
 }
 
-bool IncrementalSta::recompute_required(NodeId id, DelayFactorCache& df) {
-  const Library& lib = *ctx_.lib;
+bool IncrementalSta::recompute_required(NodeId id, Recipe& k) {
   const TimingGraph& g = *graph_;
-  const bool id_has_lc =
-      !ctx_.lc_on_output.empty() && ctx_.lc_on_output[id] != 0;
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const CommittedState s(ctx_, g, result_);
   RiseFall req{kInf, kInf};
-  for (int k = 0; k < g.port_fanout_count(id); ++k) {
-    req.rise = std::min(req.rise, result_.tspec);
-    req.fall = std::min(req.fall, result_.tspec);
-  }
-  for (const TimingGraph::FanoutPin& fo : g.fanout_pins(id)) {
-    const NodeId vid = fo.sink;
-    const double vf = df(ctx_.node_vdd[vid]);
-    const TimingArc& arc = g.arcs(vid)[fo.pin];
-    const RiseFall d = ArcView{arc, vf, result_.load[vid]}.delay();
-    RiseFall pin_req = back_propagate(result_.required[vid], arc, d);
-    const bool through_lc =
-        id_has_lc && ctx_.node_vdd[vid] > ctx_.node_vdd[id] + kVoltEps;
-    if (through_lc) {
-      const Cell& lc_cell = lib.cell(lib.level_converter());
-      const double lcvf = df(lib.vdd_high());
-      const RiseFall lcd =
-          ArcView{lc_cell.arcs[0], lcvf, result_.lc_load[id]}.delay();
-      pin_req = back_propagate(pin_req, lc_cell.arcs[0], lcd);
-    }
-    req.rise = std::min(req.rise, pin_req.rise);
-    req.fall = std::min(req.fall, pin_req.fall);
-  }
-
-  const bool changed = differs(req, result_.required[id]);
+  for (int p = 0; p < g.port_fanout_count(id); ++p)
+    fold_required(req, {result_.tspec, result_.tspec});
+  for (const TimingGraph::FanoutPin& fo : g.fanout_pins(id))
+    fold_required(req, pin_required(k, sink_timing(k, fo.sink, s), fo.sink,
+                                    fo.pin, id, s));
+  const bool changed = moved(req, result_.required[id]);
   result_.required[id] = req;
-  result_.slack[id] =
-      std::min(req.rise - result_.arrival[id].rise,
-               req.fall - result_.arrival[id].fall);
+  result_.slack[id] = slack_of(result_.arrival[id], req);
   return changed;
-}
-
-void IncrementalSta::refresh_worst_arrival() {
-  // The fold reads only port-driver arrivals; when none of them moved
-  // bitwise since the last refresh the cached value is exact already.
-  if (!port_arrival_moved_) return;
-  port_arrival_moved_ = false;
-  result_.worst_arrival = 0.0;
-  for (const OutputPort& port : ctx_.net->outputs())
-    result_.worst_arrival =
-        std::max(result_.worst_arrival,
-                 result_.arrival[port.driver].max());
 }
 
 void IncrementalSta::on_node_changed(NodeId id) {
@@ -207,35 +99,40 @@ void IncrementalSta::on_node_changed(NodeId id) {
   // Absorb a possible cell change before touching arcs or caps.
   g.sync_node(id);
   const std::vector<int>& ranks = g.topo_ranks();
-  DelayFactorCache df(ctx_.lib->voltage_model(), ctx_.lib->supplies());
+  Recipe k(*ctx_.lib, ctx_.output_port_load);
 
   // Loads that can move: the node's own (LC split, port/pin mix) and its
   // fanins' (the node's pin caps change with its cell; its supply decides
   // which fanin arcs run through a converter).
   std::set<std::pair<int, NodeId>> forward;
   auto seed_forward = [&](NodeId v) { forward.emplace(ranks[v], v); };
-  recompute_load(id);
+  recompute_load(id, k);
   seed_forward(id);
   for (NodeId fi : g.fanins(id)) {
-    recompute_load(fi);
+    recompute_load(fi, k);
     seed_forward(fi);
   }
 
-  // Arrival sweep in topological order; a change fans out.
-  std::set<std::pair<int, NodeId>> required_seeds;
-  auto seed_required = [&](NodeId v) {
-    required_seeds.emplace(-ranks[v], v);
-  };
+  // Arrival sweep in topological order; a change fans out.  Only a moved
+  // port driver can move the worst-arrival fold.
+  bool port_moved = false;
   while (!forward.empty()) {
     const NodeId v = forward.begin()->second;
     forward.erase(forward.begin());
-    if (recompute_arrival(v, df))
-      for (NodeId fo : g.unique_fanouts(v)) seed_forward(fo);
+    if (!recompute_arrival(v, k)) continue;
+    port_moved = port_moved || g.port_fanout_count(v) > 0;
+    for (NodeId fo : g.unique_fanouts(v)) seed_forward(fo);
   }
+  if (port_moved)
+    result_.worst_arrival = worst_port_arrival(*ctx_.net, result_.arrival);
 
   // Required sweep in reverse topological order.  Arc delays into the
   // changed nodes moved with their loads/supplies, so their fanins (and
   // transitively, everything upstream that notices) re-pull.
+  std::set<std::pair<int, NodeId>> required_seeds;
+  auto seed_required = [&](NodeId v) {
+    required_seeds.emplace(-ranks[v], v);
+  };
   seed_required(id);
   for (NodeId fi : g.fanins(id)) {
     seed_required(fi);
@@ -244,31 +141,27 @@ void IncrementalSta::on_node_changed(NodeId id) {
   while (!required_seeds.empty()) {
     const NodeId v = required_seeds.begin()->second;
     required_seeds.erase(required_seeds.begin());
-    if (recompute_required(v, df))
+    if (recompute_required(v, k))
       for (NodeId fi : g.fanins(v)) seed_required(fi);
   }
-  refresh_worst_arrival();
 }
 
-bool IncrementalSta::matches_full_sta(double eps) const {
+bool IncrementalSta::matches_full_sta() const {
   const StaResult fresh = analyze_full();
-  const Network& net = *ctx_.net;
+  if (fresh.tspec != result_.tspec ||
+      fresh.worst_arrival != result_.worst_arrival)
+    return false;
   bool ok = true;
-  net.for_each_node([&](const Node& n) {
+  ctx_.net->for_each_node([&](const Node& n) {
     const NodeId i = n.id;
-    if (std::abs(fresh.arrival[i].rise - result_.arrival[i].rise) > eps ||
-        std::abs(fresh.arrival[i].fall - result_.arrival[i].fall) > eps ||
-        std::abs(fresh.load[i] - result_.load[i]) > eps ||
-        std::abs(fresh.lc_load[i] - result_.lc_load[i]) > eps)
-      ok = false;
-    const bool both_inf = std::isinf(fresh.required[i].rise) &&
-                          std::isinf(result_.required[i].rise);
-    if (!both_inf &&
-        std::abs(fresh.required[i].rise - result_.required[i].rise) > eps)
+    if (moved(fresh.arrival[i], result_.arrival[i]) ||
+        moved(fresh.lc_arrival[i], result_.lc_arrival[i]) ||
+        moved(fresh.required[i], result_.required[i]) ||
+        fresh.slack[i] != result_.slack[i] ||
+        fresh.load[i] != result_.load[i] ||
+        fresh.lc_load[i] != result_.lc_load[i])
       ok = false;
   });
-  if (std::abs(fresh.worst_arrival - result_.worst_arrival) > eps)
-    ok = false;
   return ok;
 }
 

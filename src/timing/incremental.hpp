@@ -17,7 +17,7 @@
 namespace dvs {
 
 namespace timing_detail {
-class DelayFactorCache;
+struct Recipe;
 }
 
 class IncrementalSta {
@@ -41,22 +41,23 @@ class IncrementalSta {
   /// Full re-analysis (also the recovery path after structural edits).
   void full_recompute();
 
-  /// Verification hook: true iff the incremental state matches a fresh
-  /// full analysis within `eps`.
-  bool matches_full_sta(double eps = 1e-9) const;
+  /// Verification hook: true iff every field of the incremental state
+  /// equals a fresh full analysis exactly (`==`, no tolerance).
+  bool matches_full_sta() const;
 
  private:
+  // The per-node steps run the shared recipe (timing/arc_eval.hpp) over
+  // the maintained result; the change tests are bitwise, so a change
+  // stops propagating only where the recomputed doubles equal the stored
+  // ones — which is why the state always equals a full analysis.
+  /// Recomputes the direct/LC load split of one node.
+  void recompute_load(NodeId id, const timing_detail::Recipe& k);
   /// Recomputes arrival (and LC arrival) of one node from its fanins.
-  /// Returns true when the stored value moved by more than kEps.  Sets
-  /// `port_arrival_moved_` when a port driver's arrival changed at all
-  /// (bitwise), which is the exact condition under which the cached
-  /// worst_arrival could be stale.
-  bool recompute_arrival(NodeId id, timing_detail::DelayFactorCache& df);
-  /// Recomputes required time of one node from its fanouts (pull).
-  bool recompute_required(NodeId id, timing_detail::DelayFactorCache& df);
-  /// Recomputes the direct/LC load of one node.  Returns true on change.
-  bool recompute_load(NodeId id);
-  void refresh_worst_arrival();
+  /// Returns true when either changed.
+  bool recompute_arrival(NodeId id, timing_detail::Recipe& k);
+  /// Recomputes the required time of one node from its fanouts (pull).
+  /// Returns true when it changed.
+  bool recompute_required(NodeId id, timing_detail::Recipe& k);
   /// Fresh full analysis over the engine's graph.
   StaResult analyze_full() const;
 
@@ -65,9 +66,6 @@ class IncrementalSta {
   StaResult result_;
   const TimingGraph* graph_ = nullptr;
   std::unique_ptr<TimingGraph> owned_graph_;  // when the caller gave none
-  /// Set by recompute_arrival when any output-port driver's arrival
-  /// changed bitwise since the last refresh_worst_arrival.
-  bool port_arrival_moved_ = false;
 };
 
 }  // namespace dvs

@@ -18,7 +18,7 @@ struct LoadContext {
   std::span<const double> node_vdd;
   std::span<const char> lc_on_output;
   double output_port_load = 25.0;
-  /// Optional compiled graph; drives the flat fast path when current.
+  /// Optional compiled graph, used when current.
   const TimingGraph* graph = nullptr;
 };
 
@@ -28,18 +28,8 @@ struct NodeLoads {
   std::vector<int> lc_fanout_pins;  // #fanout pins rerouted through the LC
 };
 
+/// Per-node load split under `ctx`, over ctx.graph when it is current and
+/// over a throwaway compilation otherwise.
 NodeLoads compute_loads(const LoadContext& ctx);
-
-/// True iff the fanout arc driver->sink crosses upward in voltage and the
-/// driver has an LC (i.e. the arc runs through the converter).
-bool arc_through_lc(const LoadContext& ctx, NodeId driver, NodeId sink);
-
-namespace timing_detail {
-/// Flat-path load computation over a current compiled graph whose cell
-/// snapshot the caller has already synced (the full STA syncs once for
-/// both its load and propagation passes).
-NodeLoads compute_loads_presynced(const LoadContext& ctx,
-                                  const TimingGraph& graph);
-}  // namespace timing_detail
 
 }  // namespace dvs

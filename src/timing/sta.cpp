@@ -6,132 +6,76 @@
 #include "support/contracts.hpp"
 #include "timing/arc_eval.hpp"
 #include "timing/graph.hpp"
-#include "timing/loads.hpp"
 
 namespace dvs {
 
+namespace timing_detail {
+
+void forward_sweep(const TimingContext& ctx, const TimingGraph& g,
+                   Recipe& k, StaResult& r) {
+  const int n = ctx.net->size();
+  r.arrival.assign(n, RiseFall{});
+  r.lc_arrival.assign(n, RiseFall{});
+  r.load.assign(n, 0.0);
+  r.lc_load.assign(n, 0.0);
+  const CommittedState s(ctx, g, r);
+  for (NodeId id : g.topo_order()) {
+    const NodeLoad load = node_load(k, g, id, s);
+    r.load[id] = load.direct;
+    r.lc_load[id] = load.lc;
+    r.arrival[id] = node_arrival(k, g, id, s);
+    r.lc_arrival[id] = lc_output_arrival(k, g, id, r.arrival[id], s);
+  }
+  r.worst_arrival = worst_port_arrival(*ctx.net, r.arrival);
+}
+
+}  // namespace timing_detail
+
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+using timing_detail::CommittedState;
+using timing_detail::fold_required;
+using timing_detail::kInf;
+using timing_detail::pin_required;
+using timing_detail::Recipe;
+using timing_detail::sink_timing;
+using timing_detail::SinkTiming;
+using timing_detail::slack_of;
 
-using timing_detail::ArcView;
-using timing_detail::back_propagate;
-using timing_detail::DelayFactorCache;
-using timing_detail::kVoltEps;
-using timing_detail::propagate;
-
-/// Full analysis over the compiled graph: one levelized sweep per
-/// direction over flat CSR spans, pre-resolved arcs, no per-node fanout
-/// deduplication and no library lookups inside the loops.  Numerically
-/// bit-identical to run_sta_reference (tests/timing_graph_test.cpp holds
-/// it to that).
+/// Full analysis over the compiled graph: the recipe's forward sweep,
+/// then one reverse-topological sweep pushing each sink's per-pin
+/// required times into its fanins.  timing_graph_test holds it
+/// bit-identical to the seed walks in tests/oracle/.
 StaResult run_sta_flat(const TimingContext& ctx, const TimingGraph& g,
                        double tspec) {
-  const Network& net = *ctx.net;
-  const Library& lib = *ctx.lib;
-  const int n = net.size();
+  const int n = ctx.net->size();
   DVS_EXPECTS(static_cast<int>(ctx.node_vdd.size()) >= n);
   DVS_EXPECTS(ctx.lc_on_output.empty() ||
               static_cast<int>(ctx.lc_on_output.size()) >= n);
   g.sync_cells();
-  DelayFactorCache delay_factor(lib.voltage_model(), lib.supplies());
-
-  const bool any_lc = !ctx.lc_on_output.empty();
-  auto has_lc = [&](NodeId id) {
-    return any_lc && ctx.lc_on_output[id] != 0;
-  };
-  const Cell* lc_cell =
-      lib.level_converter() >= 0 ? &lib.cell(lib.level_converter()) : nullptr;
+  Recipe k(*ctx.lib, ctx.output_port_load);
 
   StaResult r;
-  r.arrival.assign(n, RiseFall{});
-  r.lc_arrival.assign(n, RiseFall{});
-  r.required.assign(n, RiseFall{kInf, kInf});
-  r.slack.assign(n, kInf);
-
-  LoadContext lctx{ctx.net, ctx.lib, ctx.node_vdd, ctx.lc_on_output,
-                   ctx.output_port_load, &g};
-  NodeLoads loads = timing_detail::compute_loads_presynced(lctx, g);
-  r.load = std::move(loads.direct);
-  r.lc_load = std::move(loads.lc);
-  const std::vector<int>& lc_count = loads.lc_fanout_pins;
-
-  // ---- forward arrival propagation ---------------------------------------
-  const std::vector<NodeId>& order = g.topo_order();
-  const double vdd_high = lib.vdd_high();
-  for (NodeId id : order) {
-    const std::span<const NodeId> fi = g.fanins(id);
-    RiseFall arr{0.0, 0.0};
-    if (g.is_gate(id) && !fi.empty()) {
-      arr = {-kInf, -kInf};
-      const double vf = delay_factor(ctx.node_vdd[id]);
-      const std::span<const TimingArc> arcs = g.arcs(id);
-      const double load = r.load[id];
-      for (std::size_t pin = 0; pin < fi.size(); ++pin) {
-        const NodeId uid = fi[pin];
-        const TimingArc& arc = arcs[pin];
-        const RiseFall d = ArcView{arc, vf, load}.delay();
-        const bool through_lc =
-            has_lc(uid) && ctx.node_vdd[id] > ctx.node_vdd[uid] + kVoltEps;
-        const RiseFall& in =
-            through_lc ? r.lc_arrival[uid] : r.arrival[uid];
-        const RiseFall cand = propagate(in, arc, d);
-        arr.rise = std::max(arr.rise, cand.rise);
-        arr.fall = std::max(arr.fall, cand.fall);
-      }
-    }
-    r.arrival[id] = arr;
-    if (has_lc(id) && lc_count[id] > 0) {
-      const double vf = delay_factor(vdd_high);
-      const RiseFall d =
-          ArcView{lc_cell->arcs[0], vf, r.lc_load[id]}.delay();
-      r.lc_arrival[id] = propagate(arr, lc_cell->arcs[0], d);
-    }
-  }
-
-  r.worst_arrival = 0.0;
-  for (const OutputPort& port : net.outputs())
-    r.worst_arrival = std::max(r.worst_arrival, r.arrival[port.driver].max());
+  timing_detail::forward_sweep(ctx, g, k, r);
   r.tspec = tspec < 0.0 ? r.worst_arrival : tspec;
 
-  // ---- backward required propagation -------------------------------------
-  for (const OutputPort& port : net.outputs()) {
-    RiseFall& req = r.required[port.driver];
-    req.rise = std::min(req.rise, r.tspec);
-    req.fall = std::min(req.fall, r.tspec);
-  }
+  const CommittedState s(ctx, g, r);
+  r.required.assign(n, RiseFall{kInf, kInf});
+  for (const OutputPort& port : ctx.net->outputs())
+    fold_required(r.required[port.driver], {r.tspec, r.tspec});
+  const std::vector<NodeId>& order = g.topo_order();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId vid = *it;
-    if (!g.is_gate(vid)) continue;
-    const std::span<const NodeId> fi = g.fanins(vid);
-    const std::span<const TimingArc> arcs = g.arcs(vid);
-    const double vf = delay_factor(ctx.node_vdd[vid]);
-    const double load = r.load[vid];
-    for (std::size_t pin = 0; pin < fi.size(); ++pin) {
-      const NodeId uid = fi[pin];
-      const TimingArc& arc = arcs[pin];
-      const RiseFall d = ArcView{arc, vf, load}.delay();
-      RiseFall pin_req = back_propagate(r.required[vid], arc, d);
-      const bool through_lc =
-          has_lc(uid) && ctx.node_vdd[vid] > ctx.node_vdd[uid] + kVoltEps;
-      if (through_lc) {
-        const double lcvf = delay_factor(vdd_high);
-        const RiseFall lcd =
-            ArcView{lc_cell->arcs[0], lcvf, r.lc_load[uid]}.delay();
-        pin_req = back_propagate(pin_req, lc_cell->arcs[0], lcd);
-      }
-      RiseFall& req = r.required[uid];
-      req.rise = std::min(req.rise, pin_req.rise);
-      req.fall = std::min(req.fall, pin_req.fall);
-    }
+    const NodeId v = *it;
+    if (!g.is_gate(v)) continue;
+    const SinkTiming st = sink_timing(k, v, s);
+    const std::span<const NodeId> fi = g.fanins(v);
+    for (std::size_t pin = 0; pin < fi.size(); ++pin)
+      fold_required(r.required[fi[pin]],
+                    pin_required(k, st, v, static_cast<int>(pin), fi[pin], s));
   }
-
-  // ---- slack ------------------------------------------------------------
-  for (NodeId id : order) {
-    const RiseFall& a = r.arrival[id];
-    const RiseFall& q = r.required[id];
-    r.slack[id] = std::min(q.rise - a.rise, q.fall - a.fall);
-  }
+  r.slack.assign(n, kInf);
+  for (NodeId id : order)
+    r.slack[id] = slack_of(r.arrival[id], r.required[id]);
   return r;
 }
 
@@ -141,7 +85,7 @@ RiseFall arc_delay(const Library& lib, const Cell& cell, int pin, double vdd,
                    double load_ff) {
   DVS_EXPECTS(pin >= 0 && pin < cell.num_inputs());
   const double vf = lib.voltage_model().delay_factor(vdd);
-  return ArcView{cell.arcs[pin], vf, load_ff}.delay();
+  return timing_detail::ArcView{cell.arcs[pin], vf, load_ff}.delay();
 }
 
 double worst_delay_increase(const Library& lib, const Cell& cell,

@@ -31,7 +31,7 @@ TEST_F(IncrementalStaTest, TracksSingleLowering) {
   const NodeId victim = design.network().outputs()[0].driver;
   design.set_level(victim, kLowRung);
   timer.on_node_changed(victim);
-  EXPECT_TRUE(timer.matches_full_sta(1e-9));
+  EXPECT_TRUE(timer.matches_full_sta());
 }
 
 TEST_F(IncrementalStaTest, TracksResize) {
@@ -43,7 +43,7 @@ TEST_F(IncrementalStaTest, TracksResize) {
   ASSERT_GE(bigger, 0);
   design.network().set_cell(victim, bigger);
   timer.on_node_changed(victim);
-  EXPECT_TRUE(timer.matches_full_sta(1e-9));
+  EXPECT_TRUE(timer.matches_full_sta());
 }
 
 TEST_F(IncrementalStaTest, TracksConverterAppearance) {
@@ -61,11 +61,11 @@ TEST_F(IncrementalStaTest, TracksConverterAppearance) {
   design.set_level(mid, kLowRung);  // fanouts high -> LC appears
   ASSERT_TRUE(design.needs_lc(mid));
   timer.on_node_changed(mid);
-  EXPECT_TRUE(timer.matches_full_sta(1e-9));
+  EXPECT_TRUE(timer.matches_full_sta());
   // And disappears again.
   design.set_level(mid, kTopRung);
   timer.on_node_changed(mid);
-  EXPECT_TRUE(timer.matches_full_sta(1e-9));
+  EXPECT_TRUE(timer.matches_full_sta());
 }
 
 /// Property: a long random sequence of voltage flips and resizes tracked
@@ -107,7 +107,7 @@ TEST_P(IncrementalPropertyTest, RandomEditSequences) {
       }
     }
   }
-  EXPECT_TRUE(timer.matches_full_sta(1e-7));
+  EXPECT_TRUE(timer.matches_full_sta());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalPropertyTest,

@@ -1,4 +1,4 @@
-#include "timing/reference.hpp"
+#include "oracle/reference.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -23,6 +23,11 @@ using timing_detail::propagate;
 double pin_cap(const Library& lib, const Node& sink, int pin) {
   if (sink.cell >= 0) return lib.cell(sink.cell).input_cap[pin];
   return kDefaultPinCap;
+}
+
+bool arc_through_lc(const LoadContext& ctx, NodeId driver, NodeId sink) {
+  if (ctx.lc_on_output.empty() || !ctx.lc_on_output[driver]) return false;
+  return ctx.node_vdd[sink] > ctx.node_vdd[driver] + kVoltEps;
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "support/rng.hpp"
 #include "support/socket.hpp"
 #include "support/units.hpp"
+#include "timing/arc_eval.hpp"
 #include "timing/loads.hpp"
 
 namespace dvs {
@@ -97,8 +98,9 @@ TEST_F(LoadsTest, SplitsAcrossConverterBoundary) {
   lc[g] = 1;
 
   LoadContext ctx{&net, &lib_, vdd, lc, 25.0};
-  EXPECT_TRUE(arc_through_lc(ctx, g, hi));
-  EXPECT_FALSE(arc_through_lc(ctx, g, lo));
+  const timing_detail::SupplyView supply{vdd, lc};
+  EXPECT_TRUE(timing_detail::through_lc(supply, g, hi));
+  EXPECT_FALSE(timing_detail::through_lc(supply, g, lo));
 
   const NodeLoads loads = compute_loads(ctx);
   EXPECT_EQ(loads.lc_fanout_pins[g], 1);

@@ -15,7 +15,7 @@
 #include "support/rng.hpp"
 #include "timing/graph.hpp"
 #include "timing/incremental.hpp"
-#include "timing/reference.hpp"
+#include "oracle/reference.hpp"
 
 namespace dvs {
 namespace {
@@ -183,7 +183,7 @@ TEST_F(TimingGraphTest, TwoHundredRandomFlipsStayBitIdentical) {
     const StaResult ref = run_sta_reference(ctx, design.tspec());
     ASSERT_TRUE(bit_identical(flat, ref, design.network()))
         << "diverged after commit " << committed << " (node " << id << ")";
-    ASSERT_TRUE(timer.matches_full_sta(1e-9))
+    ASSERT_TRUE(timer.matches_full_sta())
         << "incremental diverged after commit " << committed;
   }
 }
