@@ -253,6 +253,59 @@ TEST(CanonicalJobKey, MalformedSuppliesRejectedWithSchemaText) {
   EXPECT_EQ(parse_err(R"("")"), "supplies out of range");
 }
 
+// Requests covering every way the wire names a flow list, pinned to the
+// options-half key they hash to.  The disk cache tier survives daemon
+// restarts and upgrades, so these values must never move: a change here
+// silently orphans every persisted entry.
+struct GoldenJob {
+  const char* line;
+  std::uint64_t key;
+};
+
+const GoldenJob kGoldenJobs[] = {
+    {R"({"type":"optimize","circuit":"x2"})", 0x4221a1b5830f2172ULL},
+    {R"({"type":"optimize","circuit":"x2",)"
+     R"("algos":["gscale","cvs","cvs"]})",
+     0xe4b191a5c1059026ULL},
+    {R"({"type":"optimize","circuit":"x2","algos":["all"]})",
+     0x4221a1b5830f2172ULL},
+    {R"({"type":"optimize","circuit":"x2","algos":["gscale"],)"
+     R"("return_netlist":true,"format":"verilog"})",
+     0x06b9c14765e66c1eULL},
+    {R"({"type":"optimize","circuit":"x2",)"
+     R"x("pipeline":"cvs | gscale(area_budget=0.05) | dscale",)x"
+     R"("options":{"supplies":"5,4.3,3.6"}})",
+     0xa3a8bf2b5b37681dULL},
+    {R"({"type":"optimize","netlist":".model m\n.inputs a b\n.outputs y\n)"
+     R"(.names a b y\n11 1\n.end\n","algos":["dscale","cvs"],)"
+     R"("options":{"seed":9,"vectors":512,"freq_mhz":25},"use_cache":false})",
+     0x5d96b381ac310eb5ULL},
+};
+
+TEST(CanonicalJobKey, GoldenKeysStayStable) {
+  for (const GoldenJob& golden : kGoldenJobs) {
+    const OptimizeRequest request = request_line(golden.line);
+    EXPECT_EQ(fnv1a64(canonical_job_json(request, 42)), golden.key)
+        << golden.line;
+  }
+}
+
+TEST(CanonicalJobKey, FleetJobLineRoundTripsTheJob) {
+  // The scheduler re-serializes a request into the worker's job line;
+  // the worker must parse it back into the same job.
+  for (const GoldenJob& golden : kGoldenJobs) {
+    const OptimizeRequest sent = request_line(golden.line);
+    const OptimizeRequest got = request_line(optimize_request_json(sent));
+    EXPECT_EQ(canonical_job_json(got, 42), canonical_job_json(sent, 42))
+        << golden.line;
+    EXPECT_EQ(got.circuit, sent.circuit);
+    EXPECT_EQ(got.netlist, sent.netlist);
+    EXPECT_EQ(got.format, sent.format);
+    EXPECT_EQ(got.return_netlist, sent.return_netlist);
+    EXPECT_EQ(got.use_cache, sent.use_cache);
+  }
+}
+
 TEST(CacheKey, LadderChangesLibraryFingerprint) {
   // The resolved job runs against a ladder-adjusted library; its
   // fingerprint (the key's library half) must move with the ladder and
