@@ -2,13 +2,18 @@
 // every input — including heavy ties and exact duplicates — it must
 // select exactly the same cells as the quadratic pairwise dominance
 // definition, set the same per-cell `pareto` flags, and emit the front
-// indices in grid order.
+// indices in grid order.  Plus the engine's comparability claim: a sweep
+// cell at the base ladder and budget equals the matching suite cell.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "benchgen/mcnc.hpp"
+#include "core/suite.hpp"
 #include "core/sweep_matrix.hpp"
+#include "library/library.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace dvs {
 namespace {
@@ -113,6 +118,50 @@ TEST(SweepMatrixPareto, StaircaseWithPlateaus) {
   ASSERT_EQ(front.size(), 64u);
   for (int i : front) EXPECT_EQ(i % 2, 0);
   expect_matches_reference(std::move(cells));
+}
+
+TEST(SweepMatrixSuite, BaseCellsEqualSuiteRows) {
+  // At the base ladder and the default area budget, every sweep cell is
+  // the suite engine's (circuit, algorithm) cell: same seeds, same
+  // starting state, same numbers.
+  const Library lib = build_compass_library();
+  SuiteOptions options;
+  options.circuits = {"b9", "x2", "C432", "i10", "k2", "C1355"};
+  options.num_threads = 2;
+  const SuiteReport suite = run_suite(options, &lib);
+  ASSERT_EQ(suite.rows.size(), options.circuits.size());
+
+  ThreadPool pool(2);
+  for (const CircuitRunResult& row : suite.rows) {
+    const McncDescriptor* d = find_mcnc(row.name);
+    ASSERT_NE(d, nullptr);
+    SweepMatrixSpec spec;
+    spec.base = SuiteOptions{}.flow;
+    spec.circuit_seed = mix_seed(options.seed, d->seed);
+    const SweepMatrixResult sweep = run_sweep_matrix(
+        [d](const Library& l) { return build_mcnc_circuit(l, *d); }, lib,
+        spec, &pool);
+    ASSERT_EQ(sweep.cells.size(), 3u) << row.name;
+    for (const SweepCellResult& cell : sweep.cells) {
+      SCOPED_TRACE(row.name + "/" + cell.algo);
+      EXPECT_EQ(cell.tspec_ns, row.tspec_ns);
+      EXPECT_EQ(cell.org_power_uw, row.org_power_uw);
+      if (cell.algo == "cvs") {
+        EXPECT_EQ(cell.improve_pct, row.cvs_improve_pct);
+        EXPECT_EQ(cell.low, row.cvs_low);
+      } else if (cell.algo == "dscale") {
+        EXPECT_EQ(cell.improve_pct, row.dscale_improve_pct);
+        EXPECT_EQ(cell.low, row.dscale_low);
+        EXPECT_EQ(cell.level_converters, row.dscale_lcs);
+      } else {
+        ASSERT_EQ(cell.algo, "gscale");
+        EXPECT_EQ(cell.improve_pct, row.gscale_improve_pct);
+        EXPECT_EQ(cell.low, row.gscale_low);
+        EXPECT_EQ(cell.resized, row.gscale_resized);
+        EXPECT_EQ(cell.area_increase, row.gscale_area_increase);
+      }
+    }
+  }
 }
 
 }  // namespace
