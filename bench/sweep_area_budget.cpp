@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
 
     dvs::SweepMatrixSpec spec;
     spec.area_budgets = {0.0, 0.02, 0.05, 0.10, 0.20, 0.40};
-    spec.run_cvs = false;
-    spec.run_dscale = false;  // E6 is the Gscale budget axis alone
+    spec.algos = {dvs::PaperAlgo::kGscale};  // the Gscale budget axis alone
     // The daemon's circuit-seed derivation for named circuits:
     // mix(root seed, descriptor seed), root 0x5eed.
     spec.circuit_seed = dvs::mix_seed(0x5eed, d->seed);

@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
     dvs::SweepMatrixSpec spec;
     for (double vlow : {4.7, 4.5, 4.3, 4.0, 3.7, 3.3})
       spec.ladders.push_back({5.0, vlow});
-    spec.run_dscale = false;  // E5 contrasts CVS against Gscale
+    // E5 contrasts CVS against Gscale.
+    spec.algos = {dvs::PaperAlgo::kCvs, dvs::PaperAlgo::kGscale};
     // The daemon's circuit-seed derivation for named circuits:
     // mix(root seed, descriptor seed), root 0x5eed.
     spec.circuit_seed = dvs::mix_seed(0x5eed, d->seed);

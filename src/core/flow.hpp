@@ -59,6 +59,10 @@ struct CircuitRunResult {
 /// drivers (and the parallel suite engine) can run any matrix cell alone.
 enum class PaperAlgo { kCvs, kDscale, kGscale };
 
+/// All three, in the paper's column order (the order every report uses).
+inline constexpr PaperAlgo kPaperAlgos[] = {
+    PaperAlgo::kCvs, PaperAlgo::kDscale, PaperAlgo::kGscale};
+
 /// Fills the shared columns of a row: name, gate count, the timing
 /// constraint frozen at the mapped delay, and the original (all-high)
 /// power.  Every pipeline cell of the matrix starts from this state.

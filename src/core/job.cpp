@@ -40,9 +40,13 @@ JobCell make_paper_cell(PaperAlgo algo, const FlowOptions& flow) {
   return cell;
 }
 
-std::string pipeline_label(const Pipeline& pipeline) {
-  return pipeline.size() == 1 ? pipeline.pass(0).name()
-                              : std::string("pipeline");
+JobCell make_pipeline_cell(Pipeline pipeline, std::uint64_t circuit_seed) {
+  pipeline.resolve_seeds(circuit_seed);
+  JobCell cell;
+  cell.label = pipeline.size() == 1 ? pipeline.pass(0).name()
+                                    : std::string("pipeline");
+  cell.pipeline = std::move(pipeline);
+  return cell;
 }
 
 void fill_paper_columns(const JobCellResult& cell, CircuitRunResult* row) {
@@ -119,8 +123,7 @@ PipelineJobResult run_pipeline_job(const Network& mapped, const Library& lib,
 CircuitRunResult run_paper_flow(const Network& mapped, const Library& lib,
                                 const FlowOptions& options) {
   std::vector<JobCell> cells;
-  for (PaperAlgo algo :
-       {PaperAlgo::kCvs, PaperAlgo::kDscale, PaperAlgo::kGscale})
+  for (PaperAlgo algo : kPaperAlgos)
     cells.push_back(make_paper_cell(algo, options));
   return run_pipeline_job(mapped, lib, options, std::move(cells)).row;
 }

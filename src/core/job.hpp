@@ -2,9 +2,10 @@
 // list of optimization-pass pipelines, producing one Table-1/2 row plus
 // per-pass trajectories.  This is the ONE code path behind every driver
 // — each matrix cell of the parallel suite engine (core/suite.cpp),
-// run_paper_flow, and every dvsd service request run through
-// run_pipeline_job, so a result computed by the daemon is bit-identical
-// to the same cell of a suite_bench run.
+// each cell of the sweep grid (core/sweep_matrix.cpp), run_paper_flow,
+// and every dvsd service request run through run_pipeline_job, so a
+// result computed by the daemon is bit-identical to the same cell of a
+// suite_bench run.
 //
 // The paper's three algorithms are not special-cased anywhere below
 // this line: make_paper_cell compiles each into its canonical
@@ -40,13 +41,15 @@ const char* paper_algo_name(PaperAlgo algo);
 
 /// The canonical paper pipeline of one algorithm with `flow`'s options
 /// (including already-derived seeds) bound onto the pass — what the
-/// suite matrix, run_paper_flow and the protocol's `algos` field
-/// compile to.
+/// suite matrix, the sweep grid and run_paper_flow compile to.
 JobCell make_paper_cell(PaperAlgo algo, const FlowOptions& flow);
 
-/// Builds `label` for a spec'd pipeline: the pass name when it has one
-/// pass, "pipeline" otherwise.
-std::string pipeline_label(const Pipeline& pipeline);
+/// The cell of a spec'd pipeline: stochastic knobs the spec left unset
+/// resolved from `circuit_seed`, labelled with the pass name when it
+/// has one pass and "pipeline" otherwise.  The single-pass paper specs
+/// resolve to exactly make_paper_cell's cells (same canonical options,
+/// same label), which is what makes the protocol's `algos` sugar.
+JobCell make_pipeline_cell(Pipeline pipeline, std::uint64_t circuit_seed);
 
 /// Result of one executed cell, keyed by cell position: the canonical
 /// spec it ran, the per-pass trajectory, the final improvement over the

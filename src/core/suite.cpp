@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -132,15 +133,11 @@ FlowOptions suite_task_flow(const SuiteOptions& options,
 }
 
 SuiteReport run_suite(const SuiteOptions& options, const Library* lib) {
-  std::vector<PaperAlgo> algos;
-  if (options.run_cvs) algos.push_back(PaperAlgo::kCvs);
-  if (options.run_dscale) algos.push_back(PaperAlgo::kDscale);
-  if (options.run_gscale) algos.push_back(PaperAlgo::kGscale);
-  const int columns = static_cast<int>(algos.size());
+  constexpr int columns = std::size(kPaperAlgos);
 
   const MatrixRun run = run_matrix(
       options, lib, columns, [&](const McncDescriptor& d, int column) {
-        const PaperAlgo algo = algos[column];
+        const PaperAlgo algo = kPaperAlgos[column];
         return make_paper_cell(algo, suite_task_flow(options, d, algo));
       });
 
@@ -248,12 +245,8 @@ PipelineSuiteReport run_pipeline_suite(
         // Parse from the *original* spec per task: which options the
         // spec set explicitly drives seed resolution, and canonical
         // respellings would erase that distinction.
-        JobCell cell;
-        Pipeline pipeline = Pipeline::parse(pipelines[column]);
-        pipeline.resolve_seeds(mix_seed(options.seed, d.seed));
-        cell.label = pipeline_label(pipeline);
-        cell.pipeline = std::move(pipeline);
-        return cell;
+        return make_pipeline_cell(Pipeline::parse(pipelines[column]),
+                                  mix_seed(options.seed, d.seed));
       });
   report.num_threads = run.num_threads;
   report.wall_seconds = run.wall_seconds;

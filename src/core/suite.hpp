@@ -33,10 +33,6 @@ struct SuiteOptions {
   std::vector<std::string> circuits;
   /// Skip circuits with more gates than this (0 = run everything).
   int max_gates = 0;
-  /// Algorithms to run; all three by default.
-  bool run_cvs = true;
-  bool run_dscale = true;
-  bool run_gscale = true;
   /// Worker threads (1 = serial reference, 0 = hardware concurrency).
   int num_threads = 0;
   /// Root seed every per-task seed is mixed from.
@@ -119,11 +115,11 @@ struct PipelineSuiteReport {
 /// Runs the circuits x `pipelines` matrix on the thread pool with the
 /// suite engine's determinism contract: every stochastic knob derives
 /// from (suite seed, circuit seed, pipeline position), never from
-/// scheduling.  `options.run_*` flags and the per-algorithm structs in
-/// `options.flow` are ignored (pass knobs belong to the spec, see
-/// above); circuit selection, threads, the root seed, and the shared
-/// flow knobs (activity vectors, freq_mhz, tspec_relax) come from
-/// `options` as in run_suite.
+/// scheduling.  The per-algorithm structs in `options.flow` are ignored
+/// (pass knobs belong to the spec, see above); circuit selection,
+/// threads, the root seed, and the shared flow knobs (activity vectors,
+/// freq_mhz, tspec_relax) come from `options` as in run_suite.  This is
+/// also how to run a subset of the paper columns: pass their specs.
 PipelineSuiteReport run_pipeline_suite(
     const SuiteOptions& options, const std::vector<std::string>& pipelines,
     const Library* lib = nullptr);

@@ -17,9 +17,8 @@ namespace {
 /// can run in any order and still land deterministically.
 struct CellSpec {
   std::vector<double> supplies;
-  double budget = 0.0;
+  double budget = 0.0;  // gscale cells only
   PaperAlgo algo = PaperAlgo::kCvs;
-  bool has_budget = false;  // gscale cells only
 };
 
 std::vector<CellSpec> expand(const SweepMatrixSpec& spec,
@@ -32,13 +31,12 @@ std::vector<CellSpec> expand(const SweepMatrixSpec& spec,
   std::vector<CellSpec> cells;
   for (const std::vector<double>& ladder : ladders) {
     SupplyLadder{ladder};  // validate up front: one bad ladder fails all
-    if (spec.run_cvs)
-      cells.push_back({ladder, 0.0, PaperAlgo::kCvs, false});
-    if (spec.run_dscale)
-      cells.push_back({ladder, 0.0, PaperAlgo::kDscale, false});
-    if (spec.run_gscale)
-      for (double budget : budgets)
-        cells.push_back({ladder, budget, PaperAlgo::kGscale, true});
+    for (PaperAlgo algo : spec.algos) {
+      if (algo != PaperAlgo::kGscale)
+        cells.push_back({ladder, 0.0, algo});
+      else
+        for (double budget : budgets) cells.push_back({ladder, budget, algo});
+    }
   }
   return cells;
 }
@@ -59,50 +57,36 @@ SweepCellResult run_cell(
   }
   const Network net = source(*lib);
 
-  // The suite engine's per-cell seed derivation, so a sweep cell is
-  // comparable to the matching daemon / suite_bench cell.
+  // The suite engine's per-cell seed derivation and job runner, so a
+  // sweep cell is comparable to the matching daemon / suite_bench cell.
   FlowOptions flow = derive_cell_flow(spec.base, spec.circuit_seed,
                                       cell.algo);
-  if (cell.has_budget) flow.gscale.area_budget_ratio = cell.budget;
-
-  CircuitRunResult row;
-  Activity activity;
-  init_flow_row(net, *lib, flow, &row, &activity);
-  Design design = make_flow_design(net, *lib, flow, row.tspec_ns);
-  design.adopt_activity(std::move(activity));
+  if (cell.algo == PaperAlgo::kGscale)
+    flow.gscale.area_budget_ratio = cell.budget;
+  std::vector<JobCell> cells;
+  cells.push_back(make_paper_cell(cell.algo, flow));
+  const PipelineJobResult job =
+      run_pipeline_job(net, *lib, flow, std::move(cells));
+  const PassStats& last = job.cells.front().run.passes.back();
 
   SweepCellResult out;
   out.supplies = cell.supplies;
-  out.area_budget = cell.has_budget ? cell.budget : 0.0;
+  out.area_budget = cell.budget;
   out.algo = paper_algo_name(cell.algo);
   out.delay_penalty_pct =
       100.0 *
       (lib->voltage_model().delay_factor(lib->supplies().bottom()) - 1.0);
-  out.gates = row.num_gates;
-  out.tspec_ns = row.tspec_ns;
-  out.org_power_uw = row.org_power_uw;
-
-  switch (cell.algo) {
-    case PaperAlgo::kCvs:
-      run_cvs(design, flow.cvs);
-      break;
-    case PaperAlgo::kDscale:
-      run_dscale(design, flow.dscale);
-      break;
-    case PaperAlgo::kGscale: {
-      const GscaleResult r = run_gscale(design, flow.gscale);
-      out.resized = r.num_resized;
-      out.area_increase = r.area_increase_ratio;
-      break;
-    }
-  }
-
-  out.power_uw = design.run_power().total();
-  out.improve_pct = improvement_pct(out.org_power_uw, out.power_uw);
-  out.arrival_ns = design.run_timing().worst_arrival;
-  out.area_um2 = design.total_area();
-  out.low = design.count_low();
-  out.level_converters = design.count_lcs();
+  out.gates = job.row.num_gates;
+  out.tspec_ns = job.row.tspec_ns;
+  out.org_power_uw = job.row.org_power_uw;
+  out.power_uw = last.power_uw;
+  out.improve_pct = job.cells.front().improve_pct;
+  out.arrival_ns = last.arrival_ns;
+  out.area_um2 = last.area_um2;
+  out.low = last.low_gates;
+  out.level_converters = last.level_converters;
+  out.resized = job.row.gscale_resized;
+  out.area_increase = job.row.gscale_area_increase;
   return out;
 }
 

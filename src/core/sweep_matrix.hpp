@@ -4,7 +4,9 @@
 // `sweep` session verb.  Cells are independent (fresh library copy,
 // fresh circuit, per-cell seeds derived with the suite engine's
 // discipline), so they fan out on the ThreadPool and the result is
-// bit-identical however they were scheduled.
+// bit-identical however they were scheduled.  Each cell is one
+// make_paper_cell run through run_pipeline_job (core/job.hpp), so a
+// cell at the base ladder and budget equals the matching suite cell.
 //
 // The circuit comes from a callback taking the cell's effective library:
 // generator-backed drivers rebuild (and re-map) the circuit at each
@@ -32,9 +34,9 @@ struct SweepMatrixSpec {
   /// Gscale area-budget axis.  Empty = just the base options' budget.
   /// Cvs/Dscale cells ignore it and run once per ladder.
   std::vector<double> area_budgets;
-  bool run_cvs = true;
-  bool run_dscale = true;
-  bool run_gscale = true;
+  /// Algorithm axis, in grid order.
+  std::vector<PaperAlgo> algos = {PaperAlgo::kCvs, PaperAlgo::kDscale,
+                                  PaperAlgo::kGscale};
   /// Base flow configuration; per-cell seeds are derived from
   /// (circuit_seed, algorithm) via derive_cell_flow, matching the suite
   /// engine and the daemon.

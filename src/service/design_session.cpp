@@ -532,11 +532,9 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
   Design& design = *handle->design;
   const Network& net = design.network();
 
-  const bool pipeline_mode =
-      request.has_algos || !request.pipeline.is_null();
   DesignReoptimizeResult out;
 
-  if (!pipeline_mode) {
+  if (request.pipelines.empty()) {
     // Evaluate mode: the ECO hot path.  Incremental reads the
     // maintained timer; full rebuilds a fresh Design from the current
     // network — i.e. exactly the stateless computation — and then
@@ -608,14 +606,7 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
   // as a stateless optimize of this exact network.
   OptimizeRequest synth;
   synth.options = handle->options;
-  if (request.has_algos) {
-    synth.run_cvs = request.run_cvs;
-    synth.run_dscale = request.run_dscale;
-    synth.run_gscale = request.run_gscale;
-  } else {
-    synth.run_cvs = synth.run_dscale = synth.run_gscale = false;
-    synth.pipeline = request.pipeline;
-  }
+  synth.pipelines = request.pipelines;
   Clock::time_point mark = Clock::now();
   CacheKey key;
   // Content-addressed, not handle-addressed: the key hashes what the
@@ -693,9 +684,7 @@ Json::Object DesignRegistry::sweep(const SweepRequest& request) {
   for (double v : request.vlow)
     spec.ladders.push_back({lib->supplies().top(), v});
   spec.area_budgets = request.area_budgets;
-  spec.run_cvs = request.run_cvs;
-  spec.run_dscale = request.run_dscale;
-  spec.run_gscale = request.run_gscale;
+  spec.algos = request.algos;
 
   const std::function<Network(const Library&)> source =
       [&snapshot](const Library&) { return snapshot; };

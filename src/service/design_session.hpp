@@ -61,7 +61,7 @@ struct DesignSessionConfig {
   std::size_t max_open = 256;
 };
 
-/// What a reoptimize produced.  Evaluate mode (no pipeline/algos) fills
+/// What a reoptimize produced.  Evaluate mode (empty spec list) fills
 /// `fields` completely; pipeline mode additionally carries the cached
 /// serialized body (spliced into the response without re-parsing, like
 /// optimize results) and the cache tier that answered.

@@ -1,6 +1,7 @@
 #include "service/protocol.hpp"
 
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -71,23 +72,63 @@ JobOptions parse_options(const Json& json) {
   return options;
 }
 
-void parse_algos(const Json& json, bool* cvs, bool* dscale, bool* gscale) {
-  *cvs = *dscale = *gscale = false;
+std::uint64_t parse_deadline_ms(const Json& json) {
+  const std::uint64_t deadline = json.as_uint();
+  if (deadline > 86'400'000ULL)  // 24h: anything longer is a typo
+    throw ProtocolError("deadline_ms out of range");
+  return deadline;
+}
+
+/// `algos`: paper algorithm names and "all", deduplicated into
+/// cvs, dscale, gscale order.
+std::vector<PaperAlgo> parse_algos(const Json& json) {
+  bool enabled[3] = {};  // indexed like kPaperAlgos
   for (const Json& algo : json.as_array()) {
     const std::string& name = algo.as_string();
-    if (name == "cvs")
-      *cvs = true;
-    else if (name == "dscale")
-      *dscale = true;
-    else if (name == "gscale")
-      *gscale = true;
-    else if (name == "all")
-      *cvs = *dscale = *gscale = true;
-    else
-      throw ProtocolError("unknown algorithm '" + name + "'");
+    const bool all = name == "all";
+    bool known = all;
+    for (int i = 0; i < 3; ++i)
+      if (all || name == paper_algo_name(kPaperAlgos[i]))
+        known = enabled[i] = true;
+    if (!known) throw ProtocolError("unknown algorithm '" + name + "'");
   }
-  if (!*cvs && !*dscale && !*gscale)
-    throw ProtocolError("empty algorithm list");
+  std::vector<PaperAlgo> algos;
+  for (int i = 0; i < 3; ++i)
+    if (enabled[i]) algos.push_back(kPaperAlgos[i]);
+  if (algos.empty()) throw ProtocolError("empty algorithm list");
+  return algos;
+}
+
+/// The request's flow list from `algos` (sugar for the paper specs) or
+/// `pipeline` (one spec); nullopt when it names neither.
+std::optional<std::vector<Json>> parse_flows(const Json& json,
+                                             const std::string& where) {
+  std::optional<std::vector<Json>> flows;
+  if (const Json* v = json.find("algos")) {
+    flows.emplace();
+    for (PaperAlgo algo : parse_algos(*v))
+      flows->emplace_back(paper_algo_name(algo));
+  }
+  if (const Json* v = json.find("pipeline")) {
+    if (flows)
+      throw ProtocolError(where + " takes 'algos' or 'pipeline', not both");
+    Pipeline::from_spec(*v);  // fail fast on bad specs
+    flows.emplace(1, *v);
+  }
+  return flows;
+}
+
+/// The job fields optimize and batch share: the flow list, options,
+/// caching, and the transport knobs.
+void parse_job_fields(const Json& json, const std::string& where,
+                      OptimizeRequest* job) {
+  if (auto flows = parse_flows(json, where))
+    job->pipelines = std::move(*flows);
+  if (const Json* v = json.find("options")) job->options = parse_options(*v);
+  if (const Json* v = json.find("use_cache")) job->use_cache = v->as_bool();
+  if (const Json* v = json.find("deadline_ms"))
+    job->deadline_ms = parse_deadline_ms(*v);
+  if (const Json* v = json.find("trace")) job->trace = v->as_bool();
 }
 
 std::string parse_format(const Json& json) {
@@ -98,13 +139,6 @@ std::string parse_format(const Json& json) {
 }
 
 Json num_field(double v) { return Json(v); }
-
-std::uint64_t parse_deadline_ms(const Json& json) {
-  const std::uint64_t deadline = json.as_uint();
-  if (deadline > 86'400'000ULL)  // 24h: anything longer is a typo
-    throw ProtocolError("deadline_ms out of range");
-  return deadline;
-}
 
 /// Design-session handle fields: the handle grammar is shared by
 /// open_design's optional `name` and every other verb's required
@@ -229,23 +263,10 @@ Request parse_request(const std::string& line) {
       throw ProtocolError(
           "optimize needs exactly one of 'circuit' or 'netlist'");
     if (const Json* v = json.find("format")) opt.format = parse_format(*v);
-    if (const Json* v = json.find("algos"))
-      parse_algos(*v, &opt.run_cvs, &opt.run_dscale, &opt.run_gscale);
-    if (const Json* v = json.find("pipeline")) {
-      if (json.find("algos") != nullptr)
-        throw ProtocolError("optimize takes 'algos' or 'pipeline', not both");
-      Pipeline::from_spec(*v);  // fail fast on bad specs
-      opt.pipeline = *v;
-    }
-    if (const Json* v = json.find("options")) opt.options = parse_options(*v);
+    parse_job_fields(json, "optimize", &opt);
     if (const Json* v = json.find("return_netlist"))
       opt.return_netlist = v->as_bool();
-    if (const Json* v = json.find("use_cache")) opt.use_cache = v->as_bool();
-    if (const Json* v = json.find("deadline_ms"))
-      opt.deadline_ms = parse_deadline_ms(*v);
-    if (const Json* v = json.find("trace")) opt.trace = v->as_bool();
-    if (opt.return_netlist && opt.pipeline.is_null() &&
-        (opt.run_cvs + opt.run_dscale + opt.run_gscale) != 1)
+    if (opt.return_netlist && opt.pipelines.size() != 1)
       throw ProtocolError(
           "return_netlist requires exactly one algorithm");
     return request;
@@ -288,21 +309,7 @@ Request parse_request(const std::string& line) {
       throw ProtocolError("batch needs 'circuits' or 'all': true");
     if (!batch.circuits.empty() && batch.all)
       throw ProtocolError("batch takes 'circuits' or 'all', not both");
-    if (const Json* v = json.find("algos"))
-      parse_algos(*v, &batch.run_cvs, &batch.run_dscale, &batch.run_gscale);
-    if (const Json* v = json.find("pipeline")) {
-      if (json.find("algos") != nullptr)
-        throw ProtocolError("batch takes 'algos' or 'pipeline', not both");
-      Pipeline::from_spec(*v);  // fail fast on bad specs
-      batch.pipeline = *v;
-    }
-    if (const Json* v = json.find("options"))
-      batch.options = parse_options(*v);
-    if (const Json* v = json.find("use_cache"))
-      batch.use_cache = v->as_bool();
-    if (const Json* v = json.find("deadline_ms"))
-      batch.deadline_ms = parse_deadline_ms(*v);
-    if (const Json* v = json.find("trace")) batch.trace = v->as_bool();
+    parse_job_fields(json, "batch", &batch.job);
     return request;
   }
 
@@ -355,18 +362,8 @@ Request parse_request(const std::string& line) {
         throw ProtocolError(
             "mode must be 'auto', 'incremental', or 'full'");
     }
-    if (const Json* v = json.find("algos")) {
-      reopt.has_algos = true;
-      parse_algos(*v, &reopt.run_cvs, &reopt.run_dscale,
-                  &reopt.run_gscale);
-    }
-    if (const Json* v = json.find("pipeline")) {
-      if (reopt.has_algos)
-        throw ProtocolError(
-            "reoptimize takes 'algos' or 'pipeline', not both");
-      Pipeline::from_spec(*v);  // fail fast on bad specs
-      reopt.pipeline = *v;
-    }
+    if (auto flows = parse_flows(json, "reoptimize"))
+      reopt.pipelines = std::move(*flows);
     if (const Json* v = json.find("use_cache"))
       reopt.use_cache = v->as_bool();
     if (const Json* v = json.find("trace")) reopt.trace = v->as_bool();
@@ -397,9 +394,7 @@ Request parse_request(const std::string& line) {
           throw ProtocolError("area budget out of range");
         sweep.area_budgets.push_back(budget);
       }
-    if (const Json* v = json.find("algos"))
-      parse_algos(*v, &sweep.run_cvs, &sweep.run_dscale,
-                  &sweep.run_gscale);
+    if (const Json* v = json.find("algos")) sweep.algos = parse_algos(*v);
     return request;
   }
 
@@ -417,26 +412,9 @@ Request parse_request(const std::string& line) {
 std::vector<JobCell> build_job_cells(const OptimizeRequest& request,
                                      std::uint64_t circuit_seed) {
   std::vector<JobCell> cells;
-  if (!request.pipeline.is_null()) {
-    Pipeline pipeline = Pipeline::from_spec(request.pipeline);
-    pipeline.resolve_seeds(circuit_seed);
-    JobCell cell;
-    cell.label = pipeline_label(pipeline);
-    cell.pipeline = std::move(pipeline);
-    cells.push_back(std::move(cell));
-    return cells;
-  }
-  // Legacy algos mode: one canonical paper pipeline per enabled
-  // algorithm, each from a fresh copy — the suite engine's matrix cell.
-  const FlowOptions base = request.options.to_flow_options();
-  const PaperAlgo algos[] = {PaperAlgo::kCvs, PaperAlgo::kDscale,
-                             PaperAlgo::kGscale};
-  const bool enabled[] = {request.run_cvs, request.run_dscale,
-                          request.run_gscale};
-  for (int i = 0; i < 3; ++i)
-    if (enabled[i])
-      cells.push_back(make_paper_cell(
-          algos[i], derive_cell_flow(base, circuit_seed, algos[i])));
+  for (const Json& spec : request.pipelines)
+    cells.push_back(
+        make_pipeline_cell(Pipeline::from_spec(spec), circuit_seed));
   return cells;
 }
 
@@ -538,15 +516,12 @@ std::string optimize_request_json(const OptimizeRequest& request) {
   if (!request.circuit.empty()) object["circuit"] = Json(request.circuit);
   if (!request.netlist.empty()) object["netlist"] = Json(request.netlist);
   object["format"] = Json(request.format);
-  if (!request.pipeline.is_null()) {
-    object["pipeline"] = request.pipeline;
-  } else {
-    Json::Array algos;
-    if (request.run_cvs) algos.emplace_back("cvs");
-    if (request.run_dscale) algos.emplace_back("dscale");
-    if (request.run_gscale) algos.emplace_back("gscale");
-    object["algos"] = Json(std::move(algos));
-  }
+  // One spec travels as `pipeline`; a longer list can only have come
+  // from `algos`, so its entries are the paper names that sugar takes.
+  if (request.pipelines.size() == 1)
+    object["pipeline"] = request.pipelines.front();
+  else
+    object["algos"] = Json(request.pipelines);
   Json::Object options;
   options["seed"] = Json(request.options.seed);
   options["freq_mhz"] = Json(request.options.freq_mhz);

@@ -104,14 +104,16 @@ struct OptimizeRequest {
   std::string circuit;
   std::string netlist;
   std::string format = "blif";  // input (and netlist-out) format
-  bool run_cvs = true;
-  bool run_dscale = true;
-  bool run_gscale = true;
-  /// Registry pipeline spec (string grammar or JSON array; null =
-  /// legacy `algos` mode).  Kept as the client sent it — explicit-vs-
-  /// defaulted options matter for seed resolution — and compiled by
-  /// build_job_cells at execution time.
-  Json pipeline;
+  /// The flows to run, in order: one registry pipeline spec (string
+  /// grammar or JSON array) per job cell, each from a fresh copy of the
+  /// circuit.  The wire's `pipeline` is a one-entry list; `algos` is
+  /// sugar for the paper specs "cvs", "dscale", "gscale" (deduplicated,
+  /// in that order), so both spellings share cache keys.  Specs are
+  /// kept as the client sent them — explicit-vs-defaulted options
+  /// matter for seed resolution — and compiled by build_job_cells at
+  /// execution time.  Defaults to the three paper specs.
+  std::vector<Json> pipelines = {Json("cvs"), Json("dscale"),
+                                 Json("gscale")};
   JobOptions options;
   bool return_netlist = false;  // requires exactly one cell
   bool use_cache = true;
@@ -127,18 +129,16 @@ struct OptimizeRequest {
   bool trace = false;
 };
 
+/// `{"type":"batch", ...}` — one optimize job per listed (or every
+/// suite) circuit.
 struct BatchRequest {
   std::vector<std::string> circuits;  // empty + all=true -> whole suite
   bool all = false;
   int max_gates = 0;  // 0 = no limit (applies to `all`)
-  bool run_cvs = true;
-  bool run_dscale = true;
-  bool run_gscale = true;
-  Json pipeline;  // as in OptimizeRequest, applied to every item
-  JobOptions options;
-  bool use_cache = true;
-  std::uint64_t deadline_ms = 0;  // per-item dequeue budget, as above
-  bool trace = false;             // per-item trace arrays, as above
+  /// The job every item runs, stamped with the item's circuit.  Its
+  /// deadline_ms is each item's dequeue budget and its trace flag asks
+  /// for per-item trace arrays.
+  OptimizeRequest job;
 };
 
 // ---- ECO design sessions --------------------------------------------------
@@ -185,22 +185,19 @@ struct EditRequest {
   std::vector<DesignEdit> edits;
 };
 
-/// `{"type":"reoptimize", ...}` — re-evaluate (or re-run a pipeline on)
-/// the design's current state.  Without `pipeline`/`algos` this is the
-/// ECO hot path: evaluate power/delay/area of the edited design, via
-/// the maintained incremental timer when every edit since the last
-/// evaluation was a point edit, falling back to a full recompile after
-/// structural edits.  With `pipeline`/`algos` the named passes re-run
-/// from scratch on the edited netlist (results are cached in the
-/// ResultCache under the design's current content fingerprint).
+/// `{"type":"reoptimize", ...}` — re-evaluate (or re-run pipelines on)
+/// the design's current state.  With an empty `pipelines` list (no
+/// `pipeline`/`algos` on the wire) this is the ECO hot path: evaluate
+/// power/delay/area of the edited design, via the maintained
+/// incremental timer when every edit since the last evaluation was a
+/// point edit, falling back to a full recompile after structural edits.
+/// Otherwise the listed flows re-run from scratch on the edited netlist
+/// (results are cached in the ResultCache under the design's current
+/// content fingerprint).
 struct ReoptimizeRequest {
   std::string design;
   std::string mode = "auto";  // "auto" | "incremental" | "full"
-  Json pipeline;
-  bool has_algos = false;
-  bool run_cvs = false;
-  bool run_dscale = false;
-  bool run_gscale = false;
+  std::vector<Json> pipelines;  // as in OptimizeRequest; empty = evaluate
   bool use_cache = true;
   bool trace = false;
 };
@@ -216,9 +213,9 @@ struct SweepRequest {
   std::vector<std::vector<double>> ladders;
   std::vector<double> vlow;
   std::vector<double> area_budgets;
-  bool run_cvs = true;
-  bool run_dscale = true;
-  bool run_gscale = true;
+  /// `algos`, deduplicated in cvs, dscale, gscale order.
+  std::vector<PaperAlgo> algos = {PaperAlgo::kCvs, PaperAlgo::kDscale,
+                                  PaperAlgo::kGscale};
 };
 
 struct CloseDesignRequest {
@@ -241,11 +238,10 @@ struct Request {
 /// Parses one NDJSON line.  Throws ProtocolError / JsonError.
 Request parse_request(const std::string& line);
 
-/// Compiles the request into its ordered pipeline cells: the canonical
-/// paper pipelines for legacy `algos` requests, or the spec'd registry
-/// pipeline with stochastic knobs resolved from the derived circuit
-/// seed.  One code path feeds both the cache key and the execution, so
-/// a request can never run something its key does not describe.
+/// Compiles the request's spec list into its ordered pipeline cells,
+/// stochastic knobs resolved from the derived circuit seed.  One code
+/// path feeds both the cache key and the execution, so a request can
+/// never run something its key does not describe.
 std::vector<JobCell> build_job_cells(const OptimizeRequest& request,
                                      std::uint64_t circuit_seed);
 

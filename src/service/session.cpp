@@ -813,18 +813,12 @@ void Session::handle_batch(const Request& request) {
       std::max<std::size_t>(1, core_->config.max_inflight_per_connection);
 
   ServiceCore* core = core_;
-  const std::uint64_t deadline_ms = batch.deadline_ms;
-  const bool tracing = core_->want_trace(batch.trace);
-  const bool wire_trace = batch.trace;
+  const std::uint64_t deadline_ms = batch.job.deadline_ms;
+  const bool tracing = core_->want_trace(batch.job.trace);
+  const bool wire_trace = batch.job.trace;
   const auto submit_item = [&](std::size_t i) {
-    OptimizeRequest item;
+    OptimizeRequest item = batch.job;
     item.circuit = names[i];
-    item.run_cvs = batch.run_cvs;
-    item.run_dscale = batch.run_dscale;
-    item.run_gscale = batch.run_gscale;
-    item.pipeline = batch.pipeline;
-    item.options = batch.options;
-    item.use_cache = batch.use_cache;
     core_->metrics.inflight_jobs->add(1);
     // Each item's trace epoch — and its wall_ms — is its submission
     // time, so the item's queue_wait/execute spans tile its wall time
