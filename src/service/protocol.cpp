@@ -1,7 +1,6 @@
 #include "service/protocol.hpp"
 
 #include <cstdio>
-#include <optional>
 #include <set>
 #include <utility>
 
@@ -99,31 +98,29 @@ std::vector<PaperAlgo> parse_algos(const Json& json) {
   return algos;
 }
 
-/// The request's flow list from `algos` (sugar for the paper specs) or
-/// `pipeline` (one spec); nullopt when it names neither.
-std::optional<std::vector<Json>> parse_flows(const Json& json,
-                                             const std::string& where) {
-  std::optional<std::vector<Json>> flows;
-  if (const Json* v = json.find("algos")) {
-    flows.emplace();
-    for (PaperAlgo algo : parse_algos(*v))
+/// Sets the request's flow list from `algos` (sugar for the paper
+/// specs) or `pipeline` (one spec); leaves it alone when neither is set.
+void parse_flows(const Json& json, const std::string& where,
+                 std::vector<Json>* flows) {
+  const Json* algos = json.find("algos");
+  if (algos) {
+    flows->clear();
+    for (PaperAlgo algo : parse_algos(*algos))
       flows->emplace_back(paper_algo_name(algo));
   }
   if (const Json* v = json.find("pipeline")) {
-    if (flows)
+    if (algos)
       throw ProtocolError(where + " takes 'algos' or 'pipeline', not both");
     Pipeline::from_spec(*v);  // fail fast on bad specs
-    flows.emplace(1, *v);
+    *flows = {*v};
   }
-  return flows;
 }
 
 /// The job fields optimize and batch share: the flow list, options,
 /// caching, and the transport knobs.
 void parse_job_fields(const Json& json, const std::string& where,
                       OptimizeRequest* job) {
-  if (auto flows = parse_flows(json, where))
-    job->pipelines = std::move(*flows);
+  parse_flows(json, where, &job->pipelines);
   if (const Json* v = json.find("options")) job->options = parse_options(*v);
   if (const Json* v = json.find("use_cache")) job->use_cache = v->as_bool();
   if (const Json* v = json.find("deadline_ms"))
@@ -362,8 +359,7 @@ Request parse_request(const std::string& line) {
         throw ProtocolError(
             "mode must be 'auto', 'incremental', or 'full'");
     }
-    if (auto flows = parse_flows(json, "reoptimize"))
-      reopt.pipelines = std::move(*flows);
+    parse_flows(json, "reoptimize", &reopt.pipelines);
     if (const Json* v = json.find("use_cache"))
       reopt.use_cache = v->as_bool();
     if (const Json* v = json.find("trace")) reopt.trace = v->as_bool();
