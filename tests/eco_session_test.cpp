@@ -7,7 +7,10 @@
 // socket tests boot a real Service and speak NDJSON.
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -553,6 +556,111 @@ TEST_F(EcoServiceTest, MalformedDesignRequestsAreContained) {
   // The connection survived all of it.
   client.send(R"({"type":"ping"})");
   EXPECT_EQ("pong", client.recv().find("type")->as_string());
+}
+
+// ---- one cache entry behind optimize and open_design + reoptimize ----
+
+/// A fresh directory under TMPDIR, removed on scope exit.
+class TempDir {
+ public:
+  TempDir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "dvs-eco-XXXXXX");
+    path_ = ::mkdtemp(tmpl.data());
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+Json round_trip(Client& client, const std::string& request) {
+  client.send(request);
+  return client.recv();
+}
+
+/// The body fields a cached answer replays verbatim.
+std::string body_fields(const Json& reply) {
+  const Json* report = reply.find("report");
+  const Json* metrics = reply.find("metrics");
+  const Json* trajectory = reply.find("trajectory");
+  if (!report || !metrics || !trajectory) return "<no body> " + reply.dump();
+  return report->dump() + "|" + metrics->dump() + "|" + trajectory->dump();
+}
+
+/// The cache key is content-addressed (DESIGN.md "ECO sessions"): a
+/// stateless optimize and a pipeline reoptimize of the same untouched
+/// circuit at the same options are one entry, whichever verb computes
+/// it, at the default ladder and at a three-rung one — and the entry
+/// answers a pipeline reoptimize from the disk tier after a restart.
+TEST(EcoCacheAliasing, OptimizeAndReoptimizeShareOneEntry) {
+  TempDir dir;
+  ServiceConfig config;
+  config.tcp_port = 0;
+  config.num_threads = 2;
+  config.cache_dir = dir.path();
+  const std::string ladder = R"(,"options":{"supplies":"5,4.3,3.6"})";
+  for (const std::string& options : {std::string(), ladder}) {
+    SCOPED_TRACE("options '" + options + "'");
+    const std::string open =
+        R"({"type":"open_design","circuit":"C432","name":"eco")" + options +
+        "}";
+    std::string cvs_body;
+    {
+      Service service(config);
+      service.start();
+      Client client(service.port());
+
+      // optimize computes, the reoptimize answers from memory.
+      const Json computed = round_trip(
+          client, R"({"type":"optimize","circuit":"C432","algos":["cvs"])" +
+                      options + "}");
+      ASSERT_EQ("result", computed.find("type")->as_string())
+          << computed.dump();
+      EXPECT_EQ("miss", computed.find("cache")->as_string());
+      cvs_body = body_fields(computed);
+      const Json opened = round_trip(client, open);
+      ASSERT_EQ("design_opened", opened.find("type")->as_string())
+          << opened.dump();
+      const Json aliased = round_trip(
+          client, R"({"type":"reoptimize","design":"eco","algos":["cvs"]})");
+      ASSERT_EQ("reoptimized", aliased.find("type")->as_string())
+          << aliased.dump();
+      EXPECT_EQ("hit", aliased.find("cache")->as_string());
+      EXPECT_EQ(cvs_body, body_fields(aliased));
+
+      // The other direction: reoptimize computes, optimize hits.
+      const Json first = round_trip(
+          client,
+          R"({"type":"reoptimize","design":"eco","algos":["dscale"]})");
+      EXPECT_EQ("miss", first.find("cache")->as_string()) << first.dump();
+      const Json second = round_trip(
+          client,
+          R"({"type":"optimize","circuit":"C432","algos":["dscale"])" +
+              options + "}");
+      EXPECT_EQ("hit", second.find("cache")->as_string()) << second.dump();
+      EXPECT_EQ(body_fields(first), body_fields(second));
+
+      service.request_stop();
+      service.stop();  // flushes the disk tier
+    }
+
+    Service restarted(config);
+    restarted.start();
+    Client client(restarted.port());
+    ASSERT_EQ("design_opened",
+              round_trip(client, open).find("type")->as_string());
+    const Json warm = round_trip(
+        client, R"({"type":"reoptimize","design":"eco","algos":["cvs"]})");
+    EXPECT_EQ("disk", warm.find("cache")->as_string()) << warm.dump();
+    EXPECT_EQ(cvs_body, body_fields(warm));
+    restarted.request_stop();
+    restarted.stop();
+  }
 }
 
 }  // namespace
