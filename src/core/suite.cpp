@@ -78,10 +78,8 @@ MatrixRun run_matrix(const SuiteOptions& options, const Library* lib,
   std::optional<Library> fallback;
   std::optional<Library> reladdered;
   if (lib == nullptr) lib = &fallback.emplace(build_compass_library());
-  if (!options.supplies.empty()) {
-    lib = &reladdered.emplace(*lib);
-    reladdered->set_supply_ladder(SupplyLadder(options.supplies));
-  }
+  if (!options.supplies.empty())
+    lib = &on_ladder(*lib, SupplyLadder(options.supplies), reladdered);
 
   MatrixRun run;
   run.supplies = lib->supplies().voltages();

@@ -47,15 +47,10 @@ SweepCellResult run_cell(
     const CellSpec& cell) {
   // The cell's operating point: the base library retargeted to the
   // cell's ladder (skipping the copy when it already matches).
-  SupplyLadder ladder(cell.supplies);
-  const Library* lib = &base_lib;
   std::optional<Library> adjusted;
-  if (ladder != base_lib.supplies()) {
-    adjusted.emplace(base_lib);
-    adjusted->set_supply_ladder(std::move(ladder));
-    lib = &*adjusted;
-  }
-  const Network net = source(*lib);
+  const Library& lib =
+      on_ladder(base_lib, SupplyLadder(cell.supplies), adjusted);
+  const Network net = source(lib);
 
   // The suite engine's per-cell seed derivation and job runner, so a
   // sweep cell is comparable to the matching daemon / suite_bench cell.
@@ -66,7 +61,7 @@ SweepCellResult run_cell(
   std::vector<JobCell> cells;
   cells.push_back(make_paper_cell(cell.algo, flow));
   const PipelineJobResult job =
-      run_pipeline_job(net, *lib, flow, std::move(cells));
+      run_pipeline_job(net, lib, flow, std::move(cells));
   const PassStats& last = job.cells.front().run.passes.back();
 
   SweepCellResult out;
@@ -75,7 +70,7 @@ SweepCellResult run_cell(
   out.algo = paper_algo_name(cell.algo);
   out.delay_penalty_pct =
       100.0 *
-      (lib->voltage_model().delay_factor(lib->supplies().bottom()) - 1.0);
+      (lib.voltage_model().delay_factor(lib.supplies().bottom()) - 1.0);
   out.gates = job.row.num_gates;
   out.tspec_ns = job.row.tspec_ns;
   out.org_power_uw = job.row.org_power_uw;

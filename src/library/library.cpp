@@ -91,11 +91,23 @@ void Library::set_supplies(double vdd_high, double vdd_low) {
 }
 
 void Library::set_supply_ladder(SupplyLadder ladder) {
+  check_ladder(ladder);
+  ladder_ = std::move(ladder);
+}
+
+void Library::check_ladder(const SupplyLadder& ladder) const {
   // The ladder itself validated its shape; the threshold is a property
   // of this library's voltage model, checked here.
   if (ladder.bottom() <= vmodel_.vt)
     throw SupplyError("supplies out of range");
-  ladder_ = std::move(ladder);
+}
+
+const Library& on_ladder(const Library& lib, const SupplyLadder& ladder,
+                         std::optional<Library>& storage) {
+  if (ladder == lib.supplies()) return lib;
+  storage.emplace(lib);
+  storage->set_supply_ladder(ladder);
+  return *storage;
 }
 
 void Library::set_level_converter(int cell_id) {

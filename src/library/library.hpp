@@ -4,6 +4,7 @@
 // wire-load model.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -61,6 +62,8 @@ class Library {
   /// Installs an arbitrary ladder.  Throws SupplyError when the deepest
   /// rung does not clear the voltage model's threshold.
   void set_supply_ladder(SupplyLadder ladder);
+  /// The threshold check of set_supply_ladder, without installing.
+  void check_ladder(const SupplyLadder& ladder) const;
   const SupplyLadder& supplies() const { return ladder_; }
   /// Top / deepest rung voltages (the dual-Vdd surface most call sites
   /// still speak; identical to supplies().top() / .bottom()).
@@ -94,6 +97,13 @@ class Library {
   SupplyLadder ladder_;  // defaults to the paper's {5.0, 4.3}
   int lc_cell_ = -1;
 };
+
+/// `lib` on `ladder`: `lib` itself when it already runs on that ladder,
+/// otherwise a copy retargeted to it, emplaced into the caller-owned
+/// `storage` (which must outlive the returned reference).  Throws
+/// SupplyError like set_supply_ladder.
+const Library& on_ladder(const Library& lib, const SupplyLadder& ladder,
+                         std::optional<Library>& storage);
 
 /// Builds the 72-cell COMPASS-0.6um-like library described in DESIGN.md,
 /// plus the dedicated level-converter cell (not counted in the 72).

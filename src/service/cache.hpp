@@ -102,4 +102,17 @@ class ResultCache {
   std::uint64_t rejected_ = 0;
 };
 
+class DiskCacheEngine;
+class Histogram;
+
+/// The two result-cache tiers every engine verb reads and fills
+/// (execute_cached, service/session.hpp), plus the histograms their
+/// probes feed.  Any member may be null: no such tier / unrecorded.
+struct CacheTiers {
+  ResultCache* memory = nullptr;
+  DiskCacheEngine* disk = nullptr;
+  Histogram* memory_ms = nullptr;
+  Histogram* disk_ms = nullptr;
+};
+
 }  // namespace dvs

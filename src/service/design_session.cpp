@@ -1,21 +1,15 @@
 #include "service/design_session.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
-#include "benchgen/mcnc.hpp"
 #include "core/job.hpp"
 #include "core/sweep_matrix.hpp"
-#include "netlist/blif.hpp"
 #include "netlist/stats.hpp"
-#include "netlist/verilog.hpp"
-#include "service/cache.hpp"
-#include "service/disk_cache.hpp"
 #include "service/session.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
-#include "synth/mapper.hpp"
-#include "synth/sweep.hpp"
 
 namespace dvs {
 
@@ -26,40 +20,27 @@ using Clock = std::chrono::steady_clock;
 /// Why a retired handle name is gone (tombstones_ values).
 enum Tombstone : int { kClosed, kExpired, kEvicted };
 
-bool design_fully_mapped(const Network& net) {
-  bool mapped = true;
-  net.for_each_gate([&](const Node& n) {
-    if (n.cell < 0) mapped = false;
-  });
-  return mapped;
-}
-
 }  // namespace
 
 /// One open design: the loaded Design plus everything pinned at open
-/// time so every later verb re-derives nothing — the effective library
-/// (stable address for the Design's lifetime), the frozen tspec, the
-/// derived seeds, the original cells (the sizing baseline "resized"
-/// counts against, immune to full-evaluate Design rebuilds), and the
-/// maintained incremental timer.  `mutex` serializes verbs on this
-/// design; refs / last_used / bytes are guarded by the registry mutex.
+/// time so every later verb re-derives nothing — the loaded source (the
+/// effective library, at a stable address for the Design's lifetime, and
+/// the derived seed), the frozen tspec, the original cells (the sizing
+/// baseline "resized" counts against, immune to full-evaluate Design
+/// rebuilds), and the maintained incremental timer.  `mutex` serializes
+/// verbs on this design; refs / last_used / bytes are guarded by the
+/// registry mutex.
 struct DesignRegistry::Handle {
   std::mutex mutex;
 
   std::string name;
   std::string circuit;  // MCNC name or "<inline>"
-  std::uint64_t circuit_seed = 0;
   JobOptions options;       // as opened (sweeps re-derive from these)
   FlowOptions base_flow;    // derive_cell_flow(options, seed, kCvs)
   double tspec = 0.0;       // frozen at open: mapped delay * (1+relax)
   double org_power_uw = 0.0;
 
-  /// Effective library: the registry's, or the ladder-adjusted copy.
-  std::optional<SupplyLadder> custom_ladder;
-  std::optional<Library> custom_lib;
-  const Library* lib = nullptr;
-  std::uint64_t lib_fp = 0;
-
+  std::optional<CircuitSource> source;
   std::optional<Design> design;
   /// Maintained incremental timer; dropped (null) by structural edits
   /// and rebuilt by the next full evaluation.  While present, its
@@ -81,7 +62,6 @@ struct DesignRegistry::Handle {
   int refs = 0;
   Clock::time_point last_used{};
   std::size_t bytes = 0;
-  std::uint64_t edits = 0;
 
   int count_resized() const {
     int resized = 0;
@@ -114,7 +94,7 @@ std::size_t estimate_bytes(const DesignRegistry::Handle& handle) {
   if (handle.ista)
     bytes += static_cast<std::size_t>(net.size()) *
              (3 * sizeof(RiseFall) + 3 * sizeof(double));
-  if (handle.custom_lib) bytes += 1u << 16;  // library copy, roughly
+  if (handle.source->ladder) bytes += 1u << 16;  // library copy
   return bytes;
 }
 
@@ -161,7 +141,7 @@ void apply_edit(DesignRegistry::Handle& handle, const DesignEdit& edit,
                 bool* structural) {
   Design& design = *handle.design;
   Network& net = design.network();
-  const Library& lib = *handle.lib;
+  const Library& lib = handle.source->library();
   const NodeId id = resolve_gate(handle, edit.gate);
   const Node& node = net.node(id);
   const auto notify = [&] {
@@ -252,8 +232,8 @@ void apply_edit(DesignRegistry::Handle& handle, const DesignEdit& edit,
 
 DesignRegistry::DesignRegistry(const Library* lib,
                                DesignSessionConfig config, ThreadPool* pool,
-                               ResultCache* cache, DiskCacheEngine* disk)
-    : lib_(lib), config_(config), pool_(pool), cache_(cache), disk_(disk) {}
+                               CacheTiers tiers)
+    : lib_(lib), config_(config), pool_(pool), tiers_(tiers) {}
 
 DesignRegistry::~DesignRegistry() = default;
 
@@ -277,7 +257,7 @@ void DesignRegistry::retire_locked(const std::string& name, int tombstone) {
   stats_.open_now = handles_.size();
 }
 
-void DesignRegistry::gc_locked(Clock::time_point now) {
+void DesignRegistry::gc_locked(Clock::time_point now, const Handle* keep) {
   // Idle expiry: anything untouched past the deadline goes, unless a
   // verb is mid-flight on it (try_lock fails -> skip this round).
   if (config_.idle_ms > 0) {
@@ -300,7 +280,7 @@ void DesignRegistry::gc_locked(Clock::time_point now) {
     std::string victim;
     Clock::time_point oldest = Clock::time_point::max();
     for (const auto& [name, handle] : handles_) {
-      if (handle->last_used >= oldest) continue;
+      if (handle->last_used >= oldest || handle.get() == keep) continue;
       if (!handle->mutex.try_lock()) continue;
       handle->mutex.unlock();
       victim = name;
@@ -311,28 +291,30 @@ void DesignRegistry::gc_locked(Clock::time_point now) {
   }
 }
 
+void DesignRegistry::throw_gone_locked(const std::string& name) const {
+  auto tomb = tombstones_.find(name);
+  if (tomb != tombstones_.end()) {
+    switch (static_cast<Tombstone>(tomb->second)) {
+      case kClosed:
+        throw ProtocolError("design '" + name + "' is closed");
+      case kExpired:
+        throw ProtocolError("design '" + name +
+                            "' expired after idle timeout");
+      case kEvicted:
+        throw ProtocolError("design '" + name +
+                            "' was evicted under the design byte budget");
+    }
+  }
+  throw ProtocolError("unknown design handle '" + name + "'");
+}
+
 std::shared_ptr<DesignRegistry::Handle> DesignRegistry::acquire(
     const std::string& name, bool allow_while_draining) {
   const Clock::time_point now = Clock::now();
   std::lock_guard<std::mutex> lock(mutex_);
   gc_locked(now);
   auto it = handles_.find(name);
-  if (it == handles_.end()) {
-    auto tomb = tombstones_.find(name);
-    if (tomb != tombstones_.end()) {
-      switch (static_cast<Tombstone>(tomb->second)) {
-        case kClosed:
-          throw ProtocolError("design '" + name + "' is closed");
-        case kExpired:
-          throw ProtocolError("design '" + name +
-                              "' expired after idle timeout");
-        case kEvicted:
-          throw ProtocolError("design '" + name +
-                              "' was evicted under the design byte budget");
-      }
-    }
-    throw ProtocolError("unknown design handle '" + name + "'");
-  }
+  if (it == handles_.end()) throw_gone_locked(name);
   if (draining_ && !allow_while_draining)
     throw ProtocolError("draining: design sessions are closing");
   it->second->last_used = now;
@@ -379,117 +361,95 @@ Json::Object DesignRegistry::open(const OpenDesignRequest& request) {
     ++stats_.opened;
   }
 
-  if (!attached) {
-    try {
-      handle->circuit =
-          request.circuit.empty() ? "<inline>" : request.circuit;
-      handle->options = request.options;
-      handle->lib = lib_;
-      handle->lib_fp = lib_->fingerprint();
-      if (!request.options.supplies.empty()) {
-        SupplyLadder ladder(request.options.supplies);
-        if (ladder != lib_->supplies()) {
-          handle->custom_ladder.emplace(std::move(ladder));
-          handle->custom_lib.emplace(*lib_);
-          handle->custom_lib->set_supply_ladder(*handle->custom_ladder);
-          handle->lib = &*handle->custom_lib;
-          handle->lib_fp = handle->lib->fingerprint();
-        }
-      }
-      const Library& lib = *handle->lib;
-      Network mapped;
-      if (!request.circuit.empty()) {
-        const McncDescriptor* descriptor = find_mcnc(request.circuit);
-        if (descriptor == nullptr)
-          throw ProtocolError("unknown MCNC circuit '" + request.circuit +
-                              "'");
-        handle->circuit_seed =
-            mix_seed(request.options.seed, descriptor->seed);
-        mapped = build_mcnc_circuit(lib, *descriptor);
-      } else {
-        handle->circuit_seed = request.options.seed;
-        Network submitted = request.format == "verilog"
-                                ? read_verilog_string(request.netlist, lib)
-                                : read_blif_string(request.netlist);
-        if (design_fully_mapped(submitted) && submitted.num_gates() > 0) {
-          mapped = std::move(submitted);
-        } else {
-          sweep_network(submitted);
-          mapped = map_paper_setup(submitted, lib).mapped;
-        }
-        if (mapped.num_gates() == 0)
-          throw ProtocolError("netlist has no gates to optimize");
-      }
-      handle->base_flow =
-          derive_cell_flow(request.options.to_flow_options(),
-                           handle->circuit_seed, PaperAlgo::kCvs);
-      CircuitRunResult row;
-      Activity activity;
-      init_flow_row(mapped, lib, handle->base_flow, &row, &activity);
-      handle->tspec = row.tspec_ns;
-      handle->org_power_uw = row.org_power_uw;
-      handle->design.emplace(
-          make_flow_design(mapped, lib, handle->base_flow, handle->tspec));
-      handle->design->adopt_activity(std::move(activity));
-      const Network& net = handle->design->network();
-      handle->original_cells.assign(net.size(), -1);
-      net.for_each_gate(
-          [&](const Node& n) { handle->original_cells[n.id] = n.cell; });
-    } catch (...) {
-      // Unpublish the placeholder; late lookups get "unknown handle",
-      // exactly as if the open never happened.  Taking the registry
-      // mutex while holding the (fresh, unshared-by-waiters-only)
-      // handle mutex is safe: no path blocks on a handle mutex while
-      // holding the registry mutex.
-      std::lock_guard<std::mutex> lock(mutex_);
-      --stats_.opened;
-      auto it = handles_.find(name);
-      if (it != handles_.end() && it->second == handle) {
-        handles_.erase(it);
-        stats_.open_now = handles_.size();
-      }
-      throw;
-    }
-    const std::size_t bytes = estimate_bytes(*handle);
-    std::lock_guard<std::mutex> lock(mutex_);
-    handle->bytes = bytes;
-    stats_.resident_bytes += bytes;
-    gc_locked(now);  // the new resident may push others over budget
-  }
-
-  // Attach path: take the handle mutex now (build path already holds
-  // it) so the reply reads settled fields.  An attacher that raced a
-  // build which then failed finds an unpublished, design-less handle.
-  std::unique_lock<std::mutex> reply_lock;
-  if (!build_lock.owns_lock()) {
-    reply_lock = std::unique_lock<std::mutex>(handle->mutex);
-    if (!handle->design) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --stats_.opened;
-      throw ProtocolError("unknown design handle '" + name + "'");
-    }
-  }
-
+  // The build path already holds the fresh handle's mutex; an attacher
+  // takes it now so the reply reads settled fields, and finds a
+  // design-less handle if it raced a build that then failed.
+  std::exception_ptr failure;
   Json::Object fields;
-  fields["design"] = Json(handle->name);
-  fields["circuit"] = Json(handle->circuit);
-  fields["attached"] = Json(attached);
-  fields["gates"] = Json(handle->design->network().num_gates());
-  fields["structural_version"] =
-      Json(handle->design->network().structural_version());
-  fields["tspec_ns"] = Json(handle->tspec);
-  fields["org_power_uw"] = Json(handle->org_power_uw);
-  fields["supplies"] = supplies_json(*handle->lib);
+  std::size_t bytes = 0;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fields["refs"] = Json(static_cast<std::int64_t>(handle->refs));
+    std::unique_lock<std::mutex> lock =
+        attached ? std::unique_lock<std::mutex>(handle->mutex)
+                 : std::move(build_lock);
+    if (!attached) {
+      try {
+        handle->circuit =
+            request.circuit.empty() ? "<inline>" : request.circuit;
+        handle->options = request.options;
+        CircuitSource& source = handle->source.emplace(
+            *lib_, request.circuit, request.netlist, request.format,
+            request.options);
+        const Library& lib = source.library();
+        const Network& mapped = source.network();
+        handle->base_flow = derive_cell_flow(
+            request.options.to_flow_options(), source.seed, PaperAlgo::kCvs);
+        CircuitRunResult row;
+        Activity activity;
+        init_flow_row(mapped, lib, handle->base_flow, &row, &activity);
+        handle->tspec = row.tspec_ns;
+        handle->org_power_uw = row.org_power_uw;
+        handle->design.emplace(
+            make_flow_design(mapped, lib, handle->base_flow, handle->tspec));
+        handle->design->adopt_activity(std::move(activity));
+        source.mapped.reset();  // the Design holds the only copy now
+        const Network& net = handle->design->network();
+        handle->original_cells.assign(net.size(), -1);
+        net.for_each_gate(
+            [&](const Node& n) { handle->original_cells[n.id] = n.cell; });
+      } catch (...) {
+        failure = std::current_exception();
+      }
+    }
+    if (handle->design) {
+      const Network& net = handle->design->network();
+      fields["design"] = Json(handle->name);
+      fields["circuit"] = Json(handle->circuit);
+      fields["attached"] = Json(attached);
+      fields["gates"] = Json(net.num_gates());
+      fields["structural_version"] = Json(net.structural_version());
+      fields["tspec_ns"] = Json(handle->tspec);
+      fields["org_power_uw"] = Json(handle->org_power_uw);
+      fields["supplies"] = supplies_json(handle->source->library());
+      if (!attached) bytes = estimate_bytes(*handle);
+    }
   }
+
+  // Registry bookkeeping runs after the handle mutex is released: locks
+  // are only ever taken registry -> handle.
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (fields.empty()) {
+    --stats_.opened;
+    if (!failure)
+      throw ProtocolError("unknown design handle '" + name + "'");
+    // Unpublish the placeholder; late lookups get "unknown handle",
+    // exactly as if the open never happened.
+    auto it = handles_.find(name);
+    if (it != handles_.end() && it->second == handle) {
+      handles_.erase(it);
+      stats_.open_now = handles_.size();
+    }
+    std::rethrow_exception(failure);
+  }
+  if (!attached) {
+    account_locked(handle, bytes);
+    gc_locked(now, handle.get());  // the new resident may push others out
+  }
+  fields["refs"] = Json(static_cast<std::int64_t>(handle->refs));
   return fields;
+}
+
+void DesignRegistry::account_locked(const std::shared_ptr<Handle>& handle,
+                                    std::size_t bytes) {
+  // A handle retired while unlocked has already left the byte total.
+  auto it = handles_.find(handle->name);
+  if (it == handles_.end() || it->second != handle) return;
+  stats_.resident_bytes += bytes - handle->bytes;
+  handle->bytes = bytes;
 }
 
 Json::Object DesignRegistry::edit(const EditRequest& request) {
   std::shared_ptr<Handle> handle = acquire(request.design);
-  std::lock_guard<std::mutex> lock(handle->mutex);
+  std::unique_lock<std::mutex> lock(handle->mutex);
   if (!handle->design)  // raced a failed open
     throw ProtocolError("unknown design handle '" + request.design + "'");
   bool structural = false;
@@ -506,13 +466,6 @@ Json::Object DesignRegistry::edit(const EditRequest& request) {
                         e.what());
   }
   const std::size_t bytes = estimate_bytes(*handle);
-  {
-    std::lock_guard<std::mutex> registry_lock(mutex_);
-    stats_.edits += static_cast<std::uint64_t>(applied);
-    stats_.resident_bytes += bytes - handle->bytes;
-    handle->bytes = bytes;
-    handle->edits += static_cast<std::uint64_t>(applied);
-  }
   Json::Object fields;
   fields["design"] = Json(handle->name);
   fields["applied"] = Json(applied);
@@ -520,17 +473,29 @@ Json::Object DesignRegistry::edit(const EditRequest& request) {
   fields["structural_version"] =
       Json(handle->design->network().structural_version());
   fields["gates"] = Json(handle->design->network().num_gates());
+  lock.unlock();  // lock order: registry -> handle only
+  std::lock_guard<std::mutex> registry_lock(mutex_);
+  stats_.edits += static_cast<std::uint64_t>(applied);
+  account_locked(handle, bytes);
   return fields;
 }
 
 DesignReoptimizeResult DesignRegistry::reoptimize(
     const ReoptimizeRequest& request, RequestTrace* trace) {
   std::shared_ptr<Handle> handle = acquire(request.design);
-  std::lock_guard<std::mutex> lock(handle->mutex);
+  std::unique_lock<std::mutex> lock(handle->mutex);
   if (!handle->design)  // raced a failed open
     throw ProtocolError("unknown design handle '" + request.design + "'");
   Design& design = *handle->design;
   const Network& net = design.network();
+  const Library& lib = handle->source->library();
+  const std::uint64_t seed = handle->source->seed;
+  // The stats bump runs after the handle mutex is released (lock order).
+  const auto count = [&](bool full) {
+    lock.unlock();
+    std::lock_guard<std::mutex> registry_lock(mutex_);
+    ++(full ? stats_.reoptimize_full : stats_.reoptimize_incremental);
+  };
 
   DesignReoptimizeResult out;
 
@@ -556,9 +521,8 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
     double power = 0.0;
     double arrival = 0.0;
     if (full) {
-      Design fresh(net, *handle->lib, handle->tspec);
-      fresh.set_activity_options(handle->base_flow.activity);
-      fresh.set_freq_mhz(handle->base_flow.freq_mhz);
+      Design fresh =
+          make_flow_design(net, lib, handle->base_flow, handle->tspec);
       for (NodeId id = 0; id < static_cast<NodeId>(net.size()); ++id)
         if (net.is_valid(id) && design.level(id) != fresh.level(id))
           fresh.set_level(id, design.level(id));
@@ -593,21 +557,17 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
     out.fields["org_power_uw"] = Json(handle->org_power_uw);
     out.fields["improve_pct"] =
         Json(improvement_pct(handle->org_power_uw, power));
-    std::lock_guard<std::mutex> registry_lock(mutex_);
-    if (full)
-      ++stats_.reoptimize_full;
-    else
-      ++stats_.reoptimize_incremental;
+    count(full);
     return out;
   }
 
-  // Pipeline mode: re-run the named passes from scratch on the edited
-  // netlist, through the same job machinery (and the same result cache)
-  // as a stateless optimize of this exact network.
+  // Pipeline mode: re-run the named flows from scratch on the edited
+  // netlist, through the same job machinery and tiered cache path as a
+  // stateless optimize of this exact network.
+  const Clock::time_point start = Clock::now();
   OptimizeRequest synth;
   synth.options = handle->options;
   synth.pipelines = request.pipelines;
-  Clock::time_point mark = Clock::now();
   CacheKey key;
   // Content-addressed, not handle-addressed: the key hashes what the
   // network IS (topology + mapping), not which handle or how many edits
@@ -617,47 +577,23 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
   // it without bumping the structural version.
   key.topology = topology_hash(net);
   key.mapping = mapping_fingerprint(net);
-  key.library = handle->lib_fp;
-  key.options = fnv1a64(canonical_job_json(synth, handle->circuit_seed,
-                                           lib_->supplies()));
-  {
-    // Pipeline reoptimizes are from-scratch runs; count them as full.
-    std::lock_guard<std::mutex> registry_lock(mutex_);
-    ++stats_.reoptimize_full;
-  }
+  key.library = lib.fingerprint();
+  key.options = fnv1a64(canonical_job_json(synth, seed, lib_->supplies()));
+  const OptimizeOutcome outcome = execute_cached(
+      tiers_, key, request.use_cache, trace, start,
+      [&](OptimizeOutcome& computed) {
+        Json::Object body = pipeline_body_object(
+            net, lib, handle->base_flow, build_job_cells(synth, seed), trace);
+        computed.body =
+            std::make_shared<const std::string>(Json(std::move(body)).dump());
+      });
   out.fields["design"] = Json(handle->name);
   out.fields["mode"] = Json("pipeline");
   out.fields["structural_version"] = Json(net.structural_version());
-  out.cache = "miss";
-  if (request.use_cache && cache_) {
-    ResultCache::Payload payload = cache_->get(key);
-    if (payload) {
-      if (trace) trace->add("cache_lookup", mark, Clock::now());
-      out.body = std::move(payload);
-      out.cache = "hit";
-      return out;
-    }
-    if (disk_) {
-      payload = disk_->load(key);
-      if (payload) {
-        cache_->put(key, payload);
-        if (trace) trace->add("cache_lookup", mark, Clock::now());
-        out.body = std::move(payload);
-        out.cache = "disk";
-        return out;
-      }
-    }
-    if (trace) trace->add("cache_lookup", mark, Clock::now());
-  }
-  mark = Clock::now();
-  Json::Object body = pipeline_body_object(
-      net, *handle->lib, handle->base_flow,
-      build_job_cells(synth, handle->circuit_seed), trace);
-  out.body =
-      std::make_shared<const std::string>(Json(std::move(body)).dump());
-  if (trace) trace->add("execute", mark, Clock::now());
-  if (cache_) cache_->put(key, out.body);
-  if (disk_) disk_->store(key, out.body);
+  out.body = outcome.body;
+  out.cache = cache_tier_name(outcome.tier);
+  // Pipeline reoptimizes are from-scratch runs; count them as full.
+  count(true);
   return out;
 }
 
@@ -677,8 +613,8 @@ Json::Object DesignRegistry::sweep(const SweepRequest& request) {
     snapshot = handle->design->network();
     version = snapshot.structural_version();
     spec.base = handle->options.to_flow_options();
-    spec.circuit_seed = handle->circuit_seed;
-    lib = handle->lib;  // outlives the sweep via the shared_ptr
+    spec.circuit_seed = handle->source->seed;
+    lib = &handle->source->library();  // outlives the sweep via the handle
   }
   spec.ladders = request.ladders;
   for (double v : request.vlow)
@@ -707,22 +643,7 @@ Json::Object DesignRegistry::close(const CloseDesignRequest& request) {
   std::lock_guard<std::mutex> lock(mutex_);
   gc_locked(now);
   auto it = handles_.find(request.design);
-  if (it == handles_.end()) {
-    auto tomb = tombstones_.find(request.design);
-    if (tomb != tombstones_.end()) {
-      switch (static_cast<Tombstone>(tomb->second)) {
-        case kClosed:
-          throw ProtocolError("design '" + request.design + "' is closed");
-        case kExpired:
-          throw ProtocolError("design '" + request.design +
-                              "' expired after idle timeout");
-        case kEvicted:
-          throw ProtocolError("design '" + request.design +
-                              "' was evicted under the design byte budget");
-      }
-    }
-    throw ProtocolError("unknown design handle '" + request.design + "'");
-  }
+  if (it == handles_.end()) throw_gone_locked(request.design);
   std::shared_ptr<Handle> handle = it->second;
   handle->refs -= 1;
   const int refs = handle->refs;

@@ -20,9 +20,12 @@
 //
 // Thread model: a registry mutex guards the handle map, tombstones, and
 // counters; each handle carries its own mutex serializing verbs on that
-// design.  Lock order is registry -> handle, and the registry mutex is
-// never held while blocking on a handle (GC probes with try_lock), so
-// long verbs on one design never stall the others.  The registry is
+// design.  Lock order is registry -> handle, one way: a verb takes the
+// registry mutex for its bookkeeping (counters, byte estimates, refs,
+// unpublishing a failed open) only after releasing the handle mutex,
+// and the registry mutex is never held while blocking on a handle (GC
+// probes with try_lock; open locks its fresh, unshared handle), so long
+// verbs on one design never stall the others.  The registry is
 // service-agnostic on purpose — tests and benches drive it directly,
 // exactly like execute_optimize.
 #pragma once
@@ -39,6 +42,7 @@
 
 #include "core/design.hpp"
 #include "core/flow.hpp"
+#include "service/cache.hpp"
 #include "service/protocol.hpp"
 #include "support/json.hpp"
 #include "support/trace.hpp"
@@ -47,8 +51,6 @@
 namespace dvs {
 
 class ThreadPool;
-class ResultCache;
-class DiskCacheEngine;
 
 struct DesignSessionConfig {
   /// Idle expiry: a handle untouched this long is expired by the lazy
@@ -93,12 +95,12 @@ class DesignRegistry {
   /// local helpers there can name it).
   struct Handle;
 
-  /// `pool` fans sweep cells out (null = serial); `cache`/`disk` back
-  /// pipeline-reoptimize results (null = uncached).  All three may be
-  /// null for direct use in tests.
+  /// `pool` fans sweep cells out (null = serial); `tiers` back
+  /// pipeline-reoptimize results through execute_cached, the path
+  /// optimize uses (empty = uncached, lookups unrecorded).  Tests and
+  /// benches drive a registry with just (lib, config), no ServiceCore.
   DesignRegistry(const Library* lib, DesignSessionConfig config,
-                 ThreadPool* pool = nullptr, ResultCache* cache = nullptr,
-                 DiskCacheEngine* disk = nullptr);
+                 ThreadPool* pool = nullptr, CacheTiers tiers = {});
   ~DesignRegistry();
 
   DesignRegistry(const DesignRegistry&) = delete;
@@ -132,15 +134,22 @@ class DesignRegistry {
                                   bool allow_while_draining = false);
   /// Expires idle handles and enforces the byte budget.  Registry mutex
   /// must be held; handles are probed with try_lock so an in-flight
-  /// verb is never reaped mid-operation.
-  void gc_locked(std::chrono::steady_clock::time_point now);
+  /// verb is never reaped mid-operation, and `keep` (a handle just
+  /// opened) is never the byte budget's victim.
+  void gc_locked(std::chrono::steady_clock::time_point now,
+                 const Handle* keep = nullptr);
   void retire_locked(const std::string& name, int tombstone);
+  /// Throws the tombstone-aware "design is gone" error for `name`.
+  [[noreturn]] void throw_gone_locked(const std::string& name) const;
+  /// Records a handle's new resident-byte estimate (registry mutex held;
+  /// a handle retired meanwhile is skipped).
+  void account_locked(const std::shared_ptr<Handle>& handle,
+                      std::size_t bytes);
 
   const Library* lib_;
   DesignSessionConfig config_;
   ThreadPool* pool_;
-  ResultCache* cache_;
-  DiskCacheEngine* disk_;
+  CacheTiers tiers_;
 
   mutable std::mutex mutex_;
   std::map<std::string, std::shared_ptr<Handle>> handles_;

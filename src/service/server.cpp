@@ -21,15 +21,14 @@ void ServiceCore::init(const Library* injected) {
       config.max_backlog > 0
           ? config.max_backlog
           : static_cast<std::size_t>(pool->num_threads()) * 8;
+  lib_fingerprint = lib->fingerprint();
+  started = std::chrono::steady_clock::now();
+  init_metrics();
   DesignSessionConfig design_config;
   design_config.idle_ms = config.session_idle_ms;
   design_config.max_bytes = config.design_bytes;
   design_config.max_open = config.max_open_designs;
-  designs.emplace(lib, design_config, &*pool, &*cache,
-                  disk ? &*disk : nullptr);
-  lib_fingerprint = lib->fingerprint();
-  started = std::chrono::steady_clock::now();
-  init_metrics();
+  designs.emplace(lib, design_config, &*pool, cache_tiers());
   if (!config.trace_log_path.empty())
     trace_log.emplace(config.trace_log_path);
   if (config.scheduler) scheduler = std::make_shared<Scheduler>(this);

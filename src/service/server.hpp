@@ -204,6 +204,12 @@ struct ServiceCore {
            static_cast<double>(backlog_watermark);
   }
 
+  /// The cache tiers and lookup histograms behind execute_cached.
+  CacheTiers cache_tiers() {
+    return {&*cache, disk ? &*disk : nullptr, metrics.cache_lookup_memory_ms,
+            metrics.cache_lookup_disk_ms};
+  }
+
   /// Library::fingerprint is a pure function of the (immutable) library;
   /// computed once at startup instead of per request.
   std::uint64_t lib_fingerprint = 0;

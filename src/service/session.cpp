@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <future>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -89,124 +90,49 @@ std::string design_response(const char* type, const Json& id,
   return finish_response(std::move(head));
 }
 
-/// A resolved job: the effective library (ladder-adjusted when the
-/// request pins a supply ladder), the cache key, plus the circuit (built
-/// lazily for named MCNC circuits — the cache-hit path needs neither the
-/// network nor the adjusted library copy).
-struct ResolvedJob {
-  const McncDescriptor* descriptor = nullptr;  // named circuits only
-  std::optional<Network> mapped;
-  /// Set for custom-supplies jobs; the adjusted copy materializes on
-  /// first library() use.  The effective library is always *derived*
-  /// (never a stored pointer into this struct), so moves/copies of the
-  /// job can never dangle.
-  std::optional<SupplyLadder> custom_ladder;
-  std::optional<Library> custom_lib;
-  const Library* core_lib = nullptr;
+/// `map[key]`, computed by `compute` outside the lock on first use.
+template <typename Map, typename Compute>
+typename Map::mapped_type memoized(std::mutex& mutex, Map& map,
+                                   const typename Map::key_type& key,
+                                   const Compute& compute) {
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    auto it = map.find(key);
+    if (it != map.end()) return it->second;
+  }
+  const typename Map::mapped_type value = compute();
+  std::lock_guard<std::mutex> lock(mutex);
+  return map.emplace(key, value).first->second;
+}
+
+/// The optimize cache key: the effective library's fingerprint, the
+/// circuit's topology and mapping hashes, and the canonical options.
+/// The memos keep the cache-hit path free of Library copies and circuit
+/// builds.
+CacheKey job_key(ServiceCore& core, const OptimizeRequest& request,
+                 CircuitSource& source) {
   CacheKey key;
-  std::uint64_t circuit_seed = 0;
-
-  const Library& library() {
-    if (!custom_ladder) return *core_lib;
-    if (!custom_lib) {
-      custom_lib.emplace(*core_lib);
-      custom_lib->set_supply_ladder(*custom_ladder);
-    }
-    return *custom_lib;
-  }
-
-  /// The circuit, building it on first use.
-  const Network& network() {
-    if (!mapped)
-      mapped.emplace(build_mcnc_circuit(library(), *descriptor));
-    return *mapped;
-  }
-};
-
-ResolvedJob resolve(ServiceCore& core, const OptimizeRequest& request) {
-  ResolvedJob job;
-  job.core_lib = core.lib;
-  job.key.library = core.lib_fingerprint;
-  if (!request.options.supplies.empty()) {
-    SupplyLadder ladder(request.options.supplies);
-    if (ladder != core.lib->supplies()) {
-      // The whole flow (mapping included) runs against the requested
-      // operating point; the adjusted fingerprint carries the ladder
-      // into the cache key.  It is memoized per ladder so repeat
-      // submissions (the cache-hit fast path) skip the Library copy —
-      // building the copy once also vets the ladder against the
-      // library's threshold voltage.
-      const std::uint64_t ladder_fp = ladder.fingerprint();
-      job.custom_ladder.emplace(std::move(ladder));
-      std::optional<std::uint64_t> lib_fp;
-      {
-        std::lock_guard<std::mutex> lock(core.ladder_fp_mutex);
-        auto it = core.ladder_fps.find(ladder_fp);
-        if (it != core.ladder_fps.end()) lib_fp = it->second;
-      }
-      if (!lib_fp) {
-        lib_fp = job.library().fingerprint();
-        std::lock_guard<std::mutex> lock(core.ladder_fp_mutex);
-        core.ladder_fps.emplace(ladder_fp, *lib_fp);
-      }
-      job.key.library = *lib_fp;
-    }
-  }
+  key.library = core.lib_fingerprint;
+  if (source.ladder)
+    key.library = memoized(core.ladder_fp_mutex, core.ladder_fps,
+                           source.ladder->fingerprint(),
+                           [&] { return source.library().fingerprint(); });
   if (!request.circuit.empty()) {
-    const McncDescriptor* descriptor = find_mcnc(request.circuit);
-    if (descriptor == nullptr)
-      throw ProtocolError("unknown MCNC circuit '" + request.circuit +
-                          "'");
-    job.descriptor = descriptor;
-    // The suite engine's seed derivation, so daemon answers match
-    // suite_bench rows bit for bit.
-    job.circuit_seed = mix_seed(request.options.seed, descriptor->seed);
-    // Named circuits are pure functions of (descriptor, library): their
-    // hashes are memoized per (circuit, library fingerprint) — custom
-    // ladders change the mapping's operating point, so each effective
-    // library gets its own slot — and the cache-hit fast path skips the
-    // generator entirely.
-    const std::string memo_key =
-        request.circuit + "@" + std::to_string(job.key.library);
-    {
-      std::lock_guard<std::mutex> lock(core.named_hash_mutex);
-      auto it = core.named_hashes.find(memo_key);
-      if (it != core.named_hashes.end()) {
-        job.key.topology = it->second.first;
-        job.key.mapping = it->second.second;
-      }
-    }
-    if (job.key.topology == 0) {
-      const Network& net = job.network();
-      job.key.topology = topology_hash(net);
-      job.key.mapping = mapping_fingerprint(net);
-      std::lock_guard<std::mutex> lock(core.named_hash_mutex);
-      core.named_hashes.emplace(
-          memo_key,
-          std::make_pair(job.key.topology, job.key.mapping));
-    }
+    // Named circuits are pure functions of (descriptor, library), so
+    // each effective library gets its own memo slot.
+    std::tie(key.topology, key.mapping) = memoized(
+        core.named_hash_mutex, core.named_hashes,
+        request.circuit + "@" + std::to_string(key.library), [&] {
+          const Network& net = source.network();
+          return std::make_pair(topology_hash(net), mapping_fingerprint(net));
+        });
   } else {
-    const Library& lib = job.library();
-    job.circuit_seed = request.options.seed;
-    Network submitted = request.format == "verilog"
-                            ? read_verilog_string(request.netlist, lib)
-                            : read_blif_string(request.netlist);
-    // Hash what the client sent; whether we must map it is derived
-    // state, captured by the mapping fingerprint.
-    job.key.topology = topology_hash(submitted);
-    job.key.mapping = mapping_fingerprint(submitted);
-    if (fully_mapped(submitted) && submitted.num_gates() > 0) {
-      job.mapped.emplace(std::move(submitted));
-    } else {
-      sweep_network(submitted);
-      job.mapped.emplace(map_paper_setup(submitted, lib).mapped);
-    }
-    if (job.mapped->num_gates() == 0)
-      throw ProtocolError("netlist has no gates to optimize");
+    key.topology = source.submitted_topology;
+    key.mapping = source.submitted_mapping;
   }
-  job.key.options = fnv1a64(
-      canonical_job_json(request, job.circuit_seed, core.lib->supplies()));
-  return job;
+  key.options = fnv1a64(
+      canonical_job_json(request, source.seed, core.lib->supplies()));
+  return key;
 }
 
 /// Final power/delay/area of one optimized design.
@@ -219,18 +145,18 @@ Json metrics_json(const Design& design) {
 }
 
 /// Runs the job's pipeline cells and assembles the response body object.
-std::string compute_body(const OptimizeRequest& request, ResolvedJob& job,
-                         RequestTrace* trace) {
-  const Library& lib = job.library();
-  const Network& circuit = job.network();
+std::string compute_body(const OptimizeRequest& request,
+                         CircuitSource& source, RequestTrace* trace) {
+  const Library& lib = source.library();
+  const Network& circuit = source.network();
   // Shared columns (tspec, original power) run off the derived circuit
   // seed; per-cell seeds (Gscale's ablation cut selector) are resolved
   // inside build_job_cells, matching the suite engine's derivation.
   const FlowOptions base = derive_cell_flow(
-      request.options.to_flow_options(), job.circuit_seed, PaperAlgo::kCvs);
+      request.options.to_flow_options(), source.seed, PaperAlgo::kCvs);
   PipelineJobResult result;
   Json::Object body = pipeline_body_object(
-      circuit, lib, base, build_job_cells(request, job.circuit_seed), trace,
+      circuit, lib, base, build_job_cells(request, source.seed), trace,
       &result);
 
   if (request.return_netlist) {
@@ -313,72 +239,128 @@ const char* cache_tier_name(OptimizeOutcome::Tier tier) {
   return "miss";
 }
 
-OptimizeOutcome execute_optimize(ServiceCore& core,
-                                 const OptimizeRequest& request,
-                                 RequestTrace* trace, bool allow_remote) {
+CircuitSource::CircuitSource(const Library& lib, const std::string& circuit,
+                             const std::string& netlist,
+                             const std::string& format,
+                             const JobOptions& options)
+    : base(&lib) {
+  if (!options.supplies.empty()) {
+    // The whole flow (mapping included) runs against the requested
+    // operating point.  The threshold is vetted now, the copy deferred.
+    SupplyLadder requested(options.supplies);
+    if (requested != lib.supplies()) {
+      lib.check_ladder(requested);
+      ladder.emplace(std::move(requested));
+    }
+  }
+  if (!circuit.empty()) {
+    descriptor = find_mcnc(circuit);
+    if (descriptor == nullptr)
+      throw ProtocolError("unknown MCNC circuit '" + circuit + "'");
+    seed = mix_seed(options.seed, descriptor->seed);
+    return;
+  }
+  seed = options.seed;
+  Network submitted = format == "verilog"
+                          ? read_verilog_string(netlist, library())
+                          : read_blif_string(netlist);
+  submitted_topology = topology_hash(submitted);
+  submitted_mapping = mapping_fingerprint(submitted);
+  if (fully_mapped(submitted) && submitted.num_gates() > 0) {
+    mapped.emplace(std::move(submitted));
+  } else {
+    sweep_network(submitted);
+    mapped.emplace(map_paper_setup(submitted, library()).mapped);
+  }
+  if (mapped->num_gates() == 0)
+    throw ProtocolError("netlist has no gates to optimize");
+}
+
+const Library& CircuitSource::library() {
+  if (!ladder) return *base;
+  return custom ? *custom : on_ladder(*base, *ladder, custom);
+}
+
+const Network& CircuitSource::network() {
+  if (!mapped) mapped.emplace(build_mcnc_circuit(library(), *descriptor));
+  return *mapped;
+}
+
+OptimizeOutcome execute_cached(
+    const CacheTiers& tiers, const CacheKey& key, bool use_cache,
+    RequestTrace* trace, std::chrono::steady_clock::time_point start,
+    const std::function<void(OptimizeOutcome&)>& compute) {
   // Phase timestamps: each phase starts where the previous one ended, so
   // the spans tile the execution window and their sum tracks wall time.
   using Clock = std::chrono::steady_clock;
-  const auto finish = [](OptimizeOutcome out) {
-    out.finished = Clock::now();
-    return out;
-  };
-  Clock::time_point mark = Clock::now();
-  ResolvedJob job = resolve(core, request);
-  Clock::time_point t = Clock::now();
-  if (trace) trace->add("resolve", mark, t);
-  mark = t;
-  if (request.use_cache) {
-    ResultCache::Payload payload = core.cache->get(job.key);
-    t = Clock::now();
-    core.metrics.cache_lookup_memory_ms->observe(ms_between(mark, t));
-    if (payload) {
-      if (trace) trace->add("cache_lookup", mark, t);
-      return finish({std::move(payload), OptimizeOutcome::Tier::kMemory});
-    }
-    if (core.disk) {
+  OptimizeOutcome out;
+  Clock::time_point mark = start;
+  if (use_cache && tiers.memory) {
+    out.body = tiers.memory->get(key);
+    Clock::time_point t = Clock::now();
+    if (tiers.memory_ms) tiers.memory_ms->observe(ms_between(mark, t));
+    if (out.body) {
+      out.tier = OptimizeOutcome::Tier::kMemory;
+    } else if (tiers.disk) {
       const Clock::time_point disk_start = t;
-      payload = core.disk->load(job.key);
+      out.body = tiers.disk->load(key);
       t = Clock::now();
-      core.metrics.cache_lookup_disk_ms->observe(ms_between(disk_start, t));
-      if (payload) {
+      if (tiers.disk_ms) tiers.disk_ms->observe(ms_between(disk_start, t));
+      if (out.body) {
         // Promote-on-hit: the disk answer becomes resident so repeats
         // pay memory-tier latency (no disk write — it is already there).
-        core.cache->put(job.key, payload);
-        if (trace) trace->add("cache_lookup", mark, Clock::now());
-        return finish({std::move(payload), OptimizeOutcome::Tier::kDisk});
+        tiers.memory->put(key, out.body);
+        out.tier = OptimizeOutcome::Tier::kDisk;
+        t = Clock::now();
       }
     }
     if (trace) trace->add("cache_lookup", mark, t);
+    if (out.body) {
+      out.finished = Clock::now();
+      return out;
+    }
     mark = t;
   }
-  // An explicit cache bypass still warms both tiers below; only the
-  // lookups are skipped.
-  OptimizeOutcome outcome;
-  if (allow_remote && core.scheduler && core.scheduler->has_workers()) {
-    // Fleet dispatch first; any fleet-side failure (no worker, lease
-    // expiry, retries exhausted, drain) returns nullopt and the job
-    // computes locally below — workers and the fleet path produce
-    // bit-identical bodies, so either way the cache sees the same bytes.
-    std::optional<Scheduler::RemoteResult> remote =
-        core.scheduler->run_remote(request, trace);
-    if (remote) {
-      outcome.body =
-          std::make_shared<const std::string>(std::move(remote->body));
-      outcome.executor = std::move(remote->worker);
-    }
-  }
-  if (!outcome.body)
-    outcome.body = std::make_shared<const std::string>(
-        compute_body(request, job, trace));
-  outcome.tier = OptimizeOutcome::Tier::kMiss;
-  t = Clock::now();
-  if (trace) trace->add("execute", mark, t);
-  mark = t;
-  core.cache->put(job.key, outcome.body);
-  if (core.disk) core.disk->store(job.key, outcome.body);
-  if (trace) trace->add("store", mark, Clock::now());
-  return finish(std::move(outcome));
+  compute(out);
+  const Clock::time_point computed = Clock::now();
+  if (trace) trace->add("execute", mark, computed);
+  if (tiers.memory) tiers.memory->put(key, out.body);
+  if (tiers.disk) tiers.disk->store(key, out.body);
+  out.finished = Clock::now();
+  if (trace) trace->add("store", computed, out.finished);
+  return out;
+}
+
+OptimizeOutcome execute_optimize(ServiceCore& core,
+                                 const OptimizeRequest& request,
+                                 RequestTrace* trace, bool allow_remote) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
+  CircuitSource source(*core.lib, request.circuit, request.netlist,
+                       request.format, request.options);
+  const CacheKey key = job_key(core, request, source);
+  const Clock::time_point resolved = Clock::now();
+  if (trace) trace->add("resolve", start, resolved);
+  return execute_cached(
+      core.cache_tiers(), key, request.use_cache, trace, resolved,
+      [&](OptimizeOutcome& out) {
+        if (allow_remote && core.scheduler && core.scheduler->has_workers()) {
+          // Fleet dispatch first; any fleet-side failure (no worker,
+          // lease expiry, retries exhausted, drain) returns nullopt and
+          // the job computes locally — workers produce bit-identical
+          // bodies, so either way the cache sees the same bytes.
+          std::optional<Scheduler::RemoteResult> remote =
+              core.scheduler->run_remote(request, trace);
+          if (remote) {
+            out.body =
+                std::make_shared<const std::string>(std::move(remote->body));
+            out.executor = std::move(remote->worker);
+            return;
+          }
+        }
+        out.body = std::make_shared<const std::string>(
+            compute_body(request, source, trace));
+      });
 }
 
 Session::Session(ServiceCore* core, Socket socket)

@@ -20,16 +20,20 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
+#include "service/cache.hpp"
 #include "service/protocol.hpp"
 #include "support/socket.hpp"
 #include "support/trace.hpp"
 
 namespace dvs {
 
+struct McncDescriptor;
 struct ServiceCore;
 
 /// Outcome of one optimization job, ready for response assembly.  The
@@ -54,17 +58,59 @@ struct OptimizeOutcome {
 /// The wire spelling of an outcome's tier ("miss" / "hit" / "disk").
 const char* cache_tier_name(OptimizeOutcome::Tier tier);
 
-/// Runs one optimize job on the calling thread: resolve the circuit,
-/// hash it, consult both cache tiers, run the flow on a miss, store the
-/// body (memory + write-behind disk).  Throws on invalid requests;
-/// never mutates connection state (shared by the optimize path, batch
-/// items, the in-process bench, and tests).  With a non-null `trace`,
-/// appends the resolve / cache_lookup / execute / store phase spans plus
-/// depth-1 per-pass spans; always records the cache-lookup histograms.
-/// With `allow_remote` (and a scheduler with live workers), cache
-/// misses are dispatched to the fleet first, falling back to local
-/// computation whenever the fleet cannot answer; workers call with
-/// allow_remote=false so a job is never re-dispatched.
+/// The one circuit loader behind every verb that runs the engine
+/// (optimize, batch items, fleet jobs, open_design): request source
+/// (`circuit` | `netlist` + `format`) + job options + daemon library ->
+/// effective library, circuit seed, mapped network.  The ladder copy of
+/// the library and named MCNC circuits materialize on first use, so a
+/// cache hit builds neither; inline netlists are parsed, swept and
+/// mapped up front.  Throws the protocol's verbatim errors.
+struct CircuitSource {
+  CircuitSource(const Library& lib, const std::string& circuit,
+                const std::string& netlist, const std::string& format,
+                const JobOptions& options);
+
+  /// The daemon library, or its copy on `ladder` (built on first use).
+  const Library& library();
+  /// The mapped circuit (named circuits build on first use).
+  const Network& network();
+
+  const Library* base;
+  std::optional<SupplyLadder> ladder;  // requested, and unlike base's
+  std::optional<Library> custom;
+  const McncDescriptor* descriptor = nullptr;  // named circuits only
+  std::optional<Network> mapped;
+  /// The suite engine's derived seed, so daemon answers match
+  /// suite_bench rows bit for bit.
+  std::uint64_t seed = 0;
+  /// Inline netlists: the hashes of the netlist as submitted (whether it
+  /// needed mapping is derived state, captured by the mapping hash).
+  std::uint64_t submitted_topology = 0;
+  std::uint64_t submitted_mapping = 0;
+};
+
+/// The one tiered-cache sequence behind every verb that runs the engine
+/// (optimize, batch items, fleet jobs, pipeline reoptimize): with
+/// `use_cache`, the memory tier, then the disk tier (a disk hit is
+/// promoted to memory); otherwise `compute` fills the outcome's body
+/// (and executor), and the body is stored in both tiers — a cache bypass
+/// skips only the lookups.  Records the lookup histograms and, with a
+/// non-null `trace`, the cache_lookup / execute / store spans, the first
+/// starting at `start`.
+OptimizeOutcome execute_cached(
+    const CacheTiers& tiers, const CacheKey& key, bool use_cache,
+    RequestTrace* trace, std::chrono::steady_clock::time_point start,
+    const std::function<void(OptimizeOutcome&)>& compute);
+
+/// Runs one optimize job on the calling thread: load the circuit, key
+/// it, then execute_cached with the flow (fleet dispatch first, with
+/// `allow_remote` and a scheduler with live workers) as its compute
+/// step.  Throws on invalid requests; never mutates connection state
+/// (shared by the optimize path, batch items, the in-process bench, and
+/// tests).  With a non-null `trace`, appends the resolve phase span,
+/// execute_cached's spans and the depth-1 per-pass spans.  Workers call
+/// with allow_remote=false so a job is never re-dispatched; any fleet
+/// failure falls back to local computation.
 OptimizeOutcome execute_optimize(ServiceCore& core,
                                  const OptimizeRequest& request,
                                  RequestTrace* trace = nullptr,

@@ -663,5 +663,61 @@ TEST(EcoCacheAliasing, OptimizeAndReoptimizeShareOneEntry) {
   }
 }
 
+/// Value of one exposition series in a metrics dump (`series` is the
+/// exact line prefix, labels included); -1 when absent.
+double metric_value(const std::string& text, const std::string& series) {
+  const std::string prefix = series + " ";
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) eol = text.size();
+    if (text.compare(pos, prefix.size(), prefix) == 0)
+      return std::atof(text.c_str() + pos + prefix.size());
+    pos = eol + 1;
+  }
+  return -1.0;
+}
+
+/// Optimize and pipeline reoptimize read the cache through one tiered
+/// path, so the lookup histograms count both verbs: every lookup probes
+/// the memory tier, and every memory miss probes the disk tier.
+TEST(EcoCacheAliasing, EveryVerbFeedsTheLookupHistograms) {
+  TempDir dir;
+  ServiceConfig config;
+  config.tcp_port = 0;
+  config.num_threads = 2;
+  config.cache_dir = dir.path();
+  Service service(config);
+  service.start();
+  Client client(service.port());
+  ASSERT_EQ("design_opened",
+            round_trip(client, R"({"type":"open_design","circuit":"C432",)"
+                               R"("name":"eco"})")
+                .find("type")
+                ->as_string());
+  constexpr int kLookups = 3;  // per verb: one miss, then hits
+  for (int i = 0; i < kLookups; ++i) {
+    const char* expected = i == 0 ? "miss" : "hit";
+    EXPECT_EQ(expected,
+              round_trip(client, R"({"type":"optimize","circuit":"C432",)"
+                                 R"("algos":["cvs"]})")
+                  .find("cache")
+                  ->as_string());
+    EXPECT_EQ(expected,
+              round_trip(client, R"({"type":"reoptimize","design":"eco",)"
+                                 R"("algos":["dscale"]})")
+                  .find("cache")
+                  ->as_string());
+  }
+  const std::string text =
+      round_trip(client, R"({"type":"metrics"})").find("text")->as_string();
+  EXPECT_EQ(2 * kLookups,
+            metric_value(text,
+                         R"(dvsd_cache_lookup_ms_count{tier="memory"})"));
+  EXPECT_EQ(2, metric_value(text,
+                            R"(dvsd_cache_lookup_ms_count{tier="disk"})"));
+  service.request_stop();
+  service.stop();
+}
+
 }  // namespace
 }  // namespace dvs

@@ -107,6 +107,22 @@ TEST_F(CompassTest, SupplySetters) {
   EXPECT_DOUBLE_EQ(lib_.vdd_low(), 2.4);
 }
 
+TEST_F(CompassTest, OnLadderCopiesOnlyForADifferentLadder) {
+  std::optional<Library> storage;
+  EXPECT_EQ(&on_ladder(lib_, lib_.supplies(), storage), &lib_);
+  EXPECT_FALSE(storage);
+  const SupplyLadder three({5.0, 4.3, 3.6});
+  const Library& retargeted = on_ladder(lib_, three, storage);
+  ASSERT_TRUE(storage);
+  EXPECT_EQ(&retargeted, &*storage);
+  EXPECT_EQ(retargeted.supplies(), three);
+  EXPECT_NE(retargeted.fingerprint(), lib_.fingerprint());
+  EXPECT_EQ(lib_.supplies(), SupplyLadder());  // the original is untouched
+  EXPECT_THROW(on_ladder(lib_, SupplyLadder({5.0, 0.5}), storage),
+               SupplyError);
+  EXPECT_THROW(lib_.check_ladder(SupplyLadder({5.0, 0.5})), SupplyError);
+}
+
 TEST(WireLoad, GrowsWithFanout) {
   WireLoadModel wire;
   EXPECT_DOUBLE_EQ(wire.wire_cap(0), 0.0);
