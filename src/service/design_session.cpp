@@ -417,7 +417,7 @@ Json::Object DesignRegistry::open(const OpenDesignRequest& request) {
   // Registry bookkeeping runs after the handle mutex is released: locks
   // are only ever taken registry -> handle.
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fields.empty()) {
+  if (fields.empty()) {  // no design: this build failed, or one raced
     --stats_.opened;
     if (!failure)
       throw ProtocolError("unknown design handle '" + name + "'");
@@ -489,7 +489,6 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
   Design& design = *handle->design;
   const Network& net = design.network();
   const Library& lib = handle->source->library();
-  const std::uint64_t seed = handle->source->seed;
   // The stats bump runs after the handle mutex is released (lock order).
   const auto count = [&](bool full) {
     lock.unlock();
@@ -565,6 +564,7 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
   // netlist, through the same job machinery and tiered cache path as a
   // stateless optimize of this exact network.
   const Clock::time_point start = Clock::now();
+  const std::uint64_t seed = handle->source->seed;
   OptimizeRequest synth;
   synth.options = handle->options;
   synth.pipelines = request.pipelines;

@@ -118,11 +118,11 @@ OptimizeOutcome execute_optimize(ServiceCore& core,
 
 /// Runs the pipeline cells on `mapped` and assembles the shared
 /// result-body object (report / metrics / trajectory) — the one body
-/// layout behind optimize responses, batch items, fleet jobs, and
-/// design-session pipeline reoptimizes.  With a non-null `trace`,
-/// appends the depth-1 per-pass spans.  `result_out` (optional)
-/// receives the executed cells, final Designs included, for callers
-/// that need more than the body (netlist export).
+/// layout, and the compute step execute_cached runs on a miss, behind
+/// optimize, batch items, fleet jobs and pipeline reoptimizes.  With a
+/// non-null `trace`, appends the depth-1 per-pass spans.  `result_out`
+/// (optional) receives the executed cells, final Designs included, for
+/// callers that need more than the body (netlist export).
 Json::Object pipeline_body_object(const Network& mapped, const Library& lib,
                                   const FlowOptions& base_flow,
                                   std::vector<JobCell> cells,
