@@ -105,5 +105,66 @@ TEST(SuiteTest, JsonIsWellFormedAndCarriesEveryCircuit) {
   EXPECT_EQ(brackets, 0);
 }
 
+/// The CVS / Dscale / Gscale columns of one suite row, as captured.
+struct PinnedRow {
+  const char* name;
+  double cvs_improve_pct, dscale_improve_pct, gscale_improve_pct;
+  int cvs_low, dscale_low, gscale_low, dscale_lcs, gscale_resized;
+  double gscale_area_increase;
+};
+
+void expect_pinned(const std::vector<double>& supplies,
+                   const std::vector<PinnedRow>& pins) {
+  SuiteOptions options;
+  options.circuits = {"C432", "alu4", "C5315"};
+  options.num_threads = 1;
+  options.supplies = supplies;
+  const SuiteReport report = run_suite(options);
+  ASSERT_EQ(report.rows.size(), pins.size());
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    const CircuitRunResult& r = report.rows[i];
+    const PinnedRow& p = pins[i];
+    SCOPED_TRACE(p.name);
+    EXPECT_EQ(r.name, p.name);
+    EXPECT_EQ(r.cvs_improve_pct, p.cvs_improve_pct);
+    EXPECT_EQ(r.dscale_improve_pct, p.dscale_improve_pct);
+    EXPECT_EQ(r.gscale_improve_pct, p.gscale_improve_pct);
+    EXPECT_EQ(r.cvs_low, p.cvs_low);
+    EXPECT_EQ(r.dscale_low, p.dscale_low);
+    EXPECT_EQ(r.gscale_low, p.gscale_low);
+    EXPECT_EQ(r.dscale_lcs, p.dscale_lcs);
+    EXPECT_EQ(r.gscale_resized, p.gscale_resized);
+    EXPECT_EQ(r.gscale_area_increase, p.gscale_area_increase);
+  }
+}
+
+// The paper columns of three circuits at the default suite settings,
+// pinned bit for bit.  A change to the engines' internals (worklists,
+// timer sharing, sweep order) must leave every one of them in place; a
+// change that moves one on purpose re-captures them and says why.
+TEST(SuiteTest, PaperColumnsStayPinnedOnTheDualLadder) {
+  expect_pinned(
+      {5.0, 4.3},
+      {{"C432", 0x0p+0, 0x1.f27f69a5c0bd1p+1, 0x1.81a304d5c04b6p+4, 0, 37,
+        159, 4, 42, 0x1.6b4011052df54p-4},
+       {"alu4", 0x1.28cb8f5f96522p+2, 0x1.66e85d3b6c798p+2,
+        0x1.283c8f7ed12a1p+4, 108, 134, 494, 2, 201, 0x1.98e77d24da8afp-4},
+       {"C5315", 0x1.93204446f4316p+3, 0x1.9d83fae49c9cep+3,
+        0x1.8d33b97f449fp+4, 526, 571, 1318, 11, 290,
+        0x1.0a8b889d6c2e5p-4}});
+}
+
+TEST(SuiteTest, PaperColumnsStayPinnedOnThreeRungs) {
+  expect_pinned(
+      {5.0, 4.3, 3.6},
+      {{"C432", 0x0p+0, 0x1.4fd5d6cbb4b6fp+2, 0x1.62ffec422b5aap+4, 0, 27,
+        95, 4, 59, 0x1.994bcb10a729cp-4},
+       {"alu4", 0x1.128729e5caa4ep+3, 0x1.41ce68c32a9dap+3,
+        0x1.00960c4af5727p+4, 108, 129, 256, 2, 144, 0x1.99726a61321fdp-4},
+       {"C5315", 0x1.74d6028465d68p+4, 0x1.7c6063152d32bp+4,
+        0x1.15160e4ead5dbp+5, 526, 557, 997, 9, 439,
+        0x1.992df0a59b882p-4}});
+}
+
 }  // namespace
 }  // namespace dvs
