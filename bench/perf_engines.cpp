@@ -7,6 +7,7 @@
 //   $ ./perf_engines --json > PERF_engines.json
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -224,13 +225,11 @@ void BM_HistogramObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramObserve);
 
-/// The Dscale/Gscale hot-loop primitive: one voltage flip + incremental
-/// re-time, versus the full re-analysis it replaced (BM_Sta).
-void BM_IncrementalFlip(benchmark::State& state) {
-  const dvs::Network& net = circuit(kByIndex[state.range(0)]);
-  dvs::Design design(net, lib());
+/// Flips `victim` between the top and the deepest rung and re-times it
+/// incrementally, once per iteration.
+void time_flips(benchmark::State& state, dvs::Design& design,
+                dvs::NodeId victim) {
   dvs::IncrementalSta timer(design.timing_context(), design.tspec());
-  const dvs::NodeId victim = design.network().outputs()[0].driver;
   bool low = false;
   for (auto _ : state) {
     low = !low;
@@ -239,9 +238,41 @@ void BM_IncrementalFlip(benchmark::State& state) {
     timer.on_node_changed(victim);
     benchmark::DoNotOptimize(timer.result().worst_arrival);
   }
-  state.counters["gates"] = net.num_gates();
+  state.counters["gates"] = design.network().num_gates();
+}
+
+/// The Dscale/Gscale hot-loop primitive: one voltage flip + incremental
+/// re-time, versus the full re-analysis it replaced (BM_Sta).  The victim
+/// drives a primary output, so its required-time change re-pulls its
+/// whole fanin cone.
+void BM_IncrementalFlip(benchmark::State& state) {
+  dvs::Design design(circuit(kByIndex[state.range(0)]), lib());
+  time_flips(state, design, design.network().outputs()[0].driver);
 }
 BENCHMARK(BM_IncrementalFlip)->DenseRange(0, 5);
+
+/// The same flip on a mapped gate at the median logic level, the typical
+/// CVS / Dscale move: its change runs forward through its fanout cone and
+/// backward through its fanin cone.
+void BM_IncrementalFlipInterior(benchmark::State& state) {
+  const dvs::Network& net = circuit(kByIndex[state.range(0)]);
+  dvs::Design design(net, lib());
+  const std::vector<int>& level = design.timing_graph().levels();
+  std::vector<dvs::NodeId> gates;
+  net.for_each_gate([&](const dvs::Node& g) {
+    if (g.cell >= 0) gates.push_back(g.id);
+  });
+  const auto median = gates.begin() + gates.size() / 2;
+  std::nth_element(gates.begin(), median, gates.end(),
+                   [&](dvs::NodeId a, dvs::NodeId b) {
+                     return level[a] != level[b] ? level[a] < level[b]
+                                                 : a < b;
+                   });
+  time_flips(state, design, *median);
+  state.SetLabel(net.name());
+  state.counters["level"] = level[*median];
+}
+BENCHMARK(BM_IncrementalFlipInterior)->DenseRange(0, 5);
 
 /// N candidate rung assignments scored by ONE lane walk.  The second
 /// argument is the lane count, swept over {1, 4, 8, 16} so `--json`

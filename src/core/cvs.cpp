@@ -26,6 +26,12 @@ SupplyId cluster_rung_limit(const Design& design, const Node& gate) {
 }  // namespace
 
 CvsResult run_cvs(Design& design, const CvsOptions& options) {
+  IncrementalSta timer(design.timing_context(), design.tspec());
+  return run_cvs(design, options, timer);
+}
+
+CvsResult run_cvs(Design& design, const CvsOptions& options,
+                  IncrementalSta& timer) {
   const Network& net = design.network();
   CvsResult result;
 
@@ -35,7 +41,6 @@ CvsResult run_cvs(Design& design, const CvsOptions& options) {
   // (incrementally) after each acceptance, which keeps every acceptance
   // sound against the *committed* state (the paper's incurred-penalty
   // check).
-  IncrementalSta timer(design.timing_context(), design.tspec());
   const std::vector<NodeId>& order = design.timing_graph().topo_order();
   const Library& lib = design.library();
   // Per-rung delay factors, hoisted out of the per-gate loop.

@@ -13,6 +13,8 @@
 
 namespace dvs {
 
+class IncrementalSta;
+
 struct CvsOptions {
   /// Safety margin subtracted from the slack before accepting (ns).
   double slack_margin = 1e-9;
@@ -25,8 +27,18 @@ struct CvsResult {
 };
 
 /// Runs CVS on the design's current state; safe to call repeatedly (Gscale
-/// re-invokes it after every sizing step to push the TCB).
+/// re-invokes it after every sizing step to push the TCB).  Builds a
+/// private incremental timer, i.e. one full analysis per call.
 CvsResult run_cvs(Design& design, const CvsOptions& options = {});
+
+/// The same walk over a caller-kept timer, which must describe `design`'s
+/// current state (built from its timing_context() at its tspec, and
+/// notified of every change since) and is left describing the result.
+/// Gscale keeps one timer across its initial CVS, every sizing push and
+/// every push's CVS; Dscale shares one between its initial CVS, its
+/// rounds and its trim — so a whole flow run builds one timer.
+CvsResult run_cvs(Design& design, const CvsOptions& options,
+                  IncrementalSta& timer);
 
 /// Invariant checker used by tests: no gate sits deeper than any of its
 /// gate fanouts (cluster contingency), and no level converter flag is set.

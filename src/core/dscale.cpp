@@ -302,8 +302,12 @@ int trim_boundary(Design& design, IncrementalSta& timer) {
 
 DscaleResult run_dscale(Design& design, const DscaleOptions& options) {
   DscaleResult result;
+  // One incremental timer lives across the whole run: the initial CVS,
+  // candidate collection (which reads its current state), and every
+  // commit/revert/trim below notify it instead of re-running the full STA.
+  IncrementalSta timer(design.timing_context(), design.tspec());
   if (options.run_initial_cvs)
-    result.cvs_lowered = run_cvs(design, options.cvs).num_lowered;
+    result.cvs_lowered = run_cvs(design, options.cvs, timer).num_lowered;
 
   const Network& net = design.network();
   const Activity& activity = design.activity();
@@ -318,11 +322,6 @@ DscaleResult run_dscale(Design& design, const DscaleOptions& options) {
   // current for the whole run.
   const TimingGraph& graph = design.timing_graph();
   graph.sync_cells();
-
-  // One incremental timer lives across all rounds: candidate collection
-  // reads its current state, and every commit/revert/trim below notifies
-  // it instead of re-running the full STA.
-  IncrementalSta timer(design.timing_context(), design.tspec());
 
   for (;;) {
     if (options.max_rounds > 0 && result.rounds >= options.max_rounds)

@@ -8,6 +8,7 @@
 #include "support/rng.hpp"
 #include "timing/cpn.hpp"
 #include "timing/graph.hpp"
+#include "timing/incremental.hpp"
 #include "timing/tcb.hpp"
 
 namespace dvs {
@@ -22,10 +23,15 @@ struct AppliedResize {
 
 /// Applies every affordable resize in `cut`, then verifies the constraint
 /// once and reverts the least useful resizes if the fanin-loading side
-/// effect broke a zero-slack path.  Returns the number kept.
-int apply_cut_resizes(Design& design, const StaResult& sta,
+/// effect broke a zero-slack path.  Returns the number kept.  The resize
+/// options are scored on `timer`'s state, which afterwards is notified of
+/// every cell touched, kept or reverted: the lane sweep re-syncs the
+/// shared graph to the upsized cells, so a reverted cell needs the notify
+/// too.
+int apply_cut_resizes(Design& design, IncrementalSta& timer,
                       const std::vector<NodeId>& cut, double area_budget,
                       double* area_used) {
+  const StaResult& sta = timer.result();
   std::vector<AppliedResize> applied;
   double area = design.total_area();
   for (NodeId id : cut) {
@@ -80,6 +86,7 @@ int apply_cut_resizes(Design& design, const StaResult& sta,
       design.network().set_cell(applied[j].id, applied[j].old_cell);
   }
   DVS_ASSERT(final_worst <= design.tspec() + 1e-6);
+  for (const AppliedResize& r : applied) timer.on_node_changed(r.id);
   *area_used = design.total_area();
   return static_cast<int>(applied.size() - reverted);
 }
@@ -97,7 +104,10 @@ GscaleResult run_gscale(Design& design, const GscaleOptions& options) {
   const double area_budget =
       design.original_area() * (1.0 + options.area_budget_ratio);
 
-  CvsResult cvs = run_cvs(design, options.cvs);
+  // One timer for the whole run: the initial CVS, every push's resizes
+  // and every push's CVS all notify it, so no step re-times from scratch.
+  IncrementalSta timer(design.timing_context(), design.tspec());
+  CvsResult cvs = run_cvs(design, options.cvs, timer);
   result.cvs_lowered += cvs.num_lowered;
   std::vector<NodeId> tcb = std::move(cvs.tcb);
 
@@ -107,7 +117,7 @@ GscaleResult run_gscale(Design& design, const GscaleOptions& options) {
     if (tcb.empty()) break;  // the whole circuit is already low
     if (design.total_area() >= area_budget) break;
 
-    const StaResult sta = design.run_timing();
+    const StaResult& sta = timer.result();
     const CriticalPathNetwork cpn = extract_cpn(
         design.timing_context(), sta, tcb, options.cpn_window);
     if (cpn.empty()) break;
@@ -142,10 +152,10 @@ GscaleResult run_gscale(Design& design, const GscaleOptions& options) {
     for (int i : cut.selected) cut_nodes.push_back(cpn.nodes[i]);
 
     double area_after = design.total_area();
-    result.num_resized += apply_cut_resizes(design, sta, cut_nodes,
+    result.num_resized += apply_cut_resizes(design, timer, cut_nodes,
                                             area_budget, &area_after);
 
-    CvsResult push = run_cvs(design, options.cvs);
+    CvsResult push = run_cvs(design, options.cvs, timer);
     result.cvs_lowered += push.num_lowered;
     ++result.iterations;
 

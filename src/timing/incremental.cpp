@@ -1,6 +1,6 @@
 #include "timing/incremental.hpp"
 
-#include <set>
+#include <algorithm>
 
 #include "support/contracts.hpp"
 #include "timing/arc_eval.hpp"
@@ -30,7 +30,9 @@ bool moved(const RiseFall& a, const RiseFall& b) {
 }  // namespace
 
 IncrementalSta::IncrementalSta(const TimingContext& ctx, double tspec)
-    : ctx_(ctx), tspec_(tspec) {
+    : ctx_(ctx),
+      tspec_(tspec),
+      recipe_(std::make_unique<Recipe>(*ctx.lib, ctx.output_port_load)) {
   full_recompute();
 }
 
@@ -56,17 +58,44 @@ void IncrementalSta::full_recompute() {
         std::make_unique<TimingGraph>(*ctx_.net, *ctx_.lib);
     graph_ = owned_graph_.get();
   }
+  // A structural edit can add nodes and levels: size the worklists to
+  // the current graph.
+  const std::vector<int>& level = graph_->levels();
+  const int depth =
+      level.empty() ? 0 : *std::max_element(level.begin(), level.end()) + 1;
+  bucket_.resize(depth);
+  queued_.assign(level.size(), 0);
+  epoch_ = 0;
   result_ = analyze_full();
 }
 
-void IncrementalSta::recompute_load(NodeId id, const Recipe& k) {
-  const NodeLoad load =
-      node_load(k, *graph_, id, CommittedState(ctx_, *graph_, result_));
+void IncrementalSta::begin_sweep() {
+  if (++epoch_ == 0) {  // wrapped: forget every stale mark
+    std::fill(queued_.begin(), queued_.end(), 0);
+    epoch_ = 1;
+  }
+  lo_ = static_cast<int>(bucket_.size());
+  hi_ = -1;
+}
+
+void IncrementalSta::enqueue(NodeId v) {
+  if (queued_[v] == epoch_) return;
+  queued_[v] = epoch_;
+  const int l = graph_->levels()[v];
+  bucket_[l].push_back(v);
+  lo_ = std::min(lo_, l);
+  hi_ = std::max(hi_, l);
+}
+
+void IncrementalSta::recompute_load(NodeId id) {
+  const NodeLoad load = node_load(*recipe_, *graph_, id,
+                                  CommittedState(ctx_, *graph_, result_));
   result_.load[id] = load.direct;
   result_.lc_load[id] = load.lc;
 }
 
-bool IncrementalSta::recompute_arrival(NodeId id, Recipe& k) {
+bool IncrementalSta::recompute_arrival(NodeId id) {
+  Recipe& k = *recipe_;
   const CommittedState s(ctx_, *graph_, result_);
   const RiseFall arr = node_arrival(k, *graph_, id, s);
   const RiseFall lc_arr = lc_output_arrival(k, *graph_, id, arr, s);
@@ -78,7 +107,8 @@ bool IncrementalSta::recompute_arrival(NodeId id, Recipe& k) {
   return changed;
 }
 
-bool IncrementalSta::recompute_required(NodeId id, Recipe& k) {
+bool IncrementalSta::recompute_required(NodeId id) {
+  Recipe& k = *recipe_;
   const TimingGraph& g = *graph_;
   const CommittedState s(ctx_, g, result_);
   RiseFall req{kInf, kInf};
@@ -98,51 +128,48 @@ void IncrementalSta::on_node_changed(NodeId id) {
   DVS_EXPECTS(ctx_.net->is_valid(id));
   // Absorb a possible cell change before touching arcs or caps.
   g.sync_node(id);
-  const std::vector<int>& ranks = g.topo_ranks();
-  Recipe k(*ctx_.lib, ctx_.output_port_load);
 
   // Loads that can move: the node's own (LC split, port/pin mix) and its
   // fanins' (the node's pin caps change with its cell; its supply decides
   // which fanin arcs run through a converter).
-  std::set<std::pair<int, NodeId>> forward;
-  auto seed_forward = [&](NodeId v) { forward.emplace(ranks[v], v); };
-  recompute_load(id, k);
-  seed_forward(id);
+  begin_sweep();
+  recompute_load(id);
+  enqueue(id);
   for (NodeId fi : g.fanins(id)) {
-    recompute_load(fi, k);
-    seed_forward(fi);
+    recompute_load(fi);
+    enqueue(fi);
   }
 
-  // Arrival sweep in topological order; a change fans out.  Only a moved
+  // Arrival sweep in ascending level order; a change fans out to strictly
+  // higher levels, so the bucket being drained never grows.  Only a moved
   // port driver can move the worst-arrival fold.
   bool port_moved = false;
-  while (!forward.empty()) {
-    const NodeId v = forward.begin()->second;
-    forward.erase(forward.begin());
-    if (!recompute_arrival(v, k)) continue;
-    port_moved = port_moved || g.port_fanout_count(v) > 0;
-    for (NodeId fo : g.unique_fanouts(v)) seed_forward(fo);
+  for (int l = lo_; l <= hi_; ++l) {
+    for (NodeId v : bucket_[l]) {
+      if (!recompute_arrival(v)) continue;
+      port_moved = port_moved || g.port_fanout_count(v) > 0;
+      for (NodeId fo : g.unique_fanouts(v)) enqueue(fo);
+    }
+    bucket_[l].clear();
   }
   if (port_moved)
     result_.worst_arrival = worst_port_arrival(*ctx_.net, result_.arrival);
 
-  // Required sweep in reverse topological order.  Arc delays into the
+  // Required sweep in descending level order.  Arc delays into the
   // changed nodes moved with their loads/supplies, so their fanins (and
-  // transitively, everything upstream that notices) re-pull.
-  std::set<std::pair<int, NodeId>> required_seeds;
-  auto seed_required = [&](NodeId v) {
-    required_seeds.emplace(-ranks[v], v);
-  };
-  seed_required(id);
+  // transitively, everything upstream that notices) re-pull; a re-pull
+  // queues only strictly lower levels.
+  begin_sweep();
+  enqueue(id);
   for (NodeId fi : g.fanins(id)) {
-    seed_required(fi);
-    for (NodeId gfi : g.fanins(fi)) seed_required(gfi);
+    enqueue(fi);
+    for (NodeId gfi : g.fanins(fi)) enqueue(gfi);
   }
-  while (!required_seeds.empty()) {
-    const NodeId v = required_seeds.begin()->second;
-    required_seeds.erase(required_seeds.begin());
-    if (recompute_required(v, k))
-      for (NodeId fi : g.fanins(v)) seed_required(fi);
+  for (int l = hi_; l >= lo_; --l) {
+    for (NodeId v : bucket_[l])
+      if (recompute_required(v))
+        for (NodeId fi : g.fanins(v)) enqueue(fi);
+    bucket_[l].clear();
   }
 }
 

@@ -7,11 +7,13 @@
 
 #include "dual_ladder.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "benchgen/random_dag.hpp"
 #include "core/design.hpp"
 #include "support/rng.hpp"
+#include "timing/graph.hpp"
 #include "timing/incremental.hpp"
 #include "oracle/reference.hpp"
 
@@ -233,6 +235,87 @@ TEST_F(IncrementalVsFullTest, BulkLowerThenRepairMatchesFull) {
     timer.on_node_changed(id);
     ASSERT_TRUE(timer.matches_full_sta());
   }
+}
+
+TEST_F(IncrementalVsFullTest, BatchedResizeThenNotifyMatchesFull) {
+  // The Gscale commit pattern: upsize a batch of cells, let the lane sweep
+  // re-sync the shared graph to them, revert a prefix, and only then
+  // notify the timer once per touched node.  Until the last notify the
+  // timer sees several unannounced changes at once.
+  Network net = random_circuit(4242, 0.5);
+  Design design(std::move(net), lib_);
+  IncrementalSta timer(design.timing_context(), design.tspec());
+  std::vector<NodeId> gates;
+  design.network().for_each_gate([&](const Node& g) {
+    if (g.cell >= 0) gates.push_back(g.id);
+  });
+  Rng rng(99);
+  int batches = 0;
+  for (int round = 0; round < 40; ++round) {
+    struct Touched {
+      NodeId id;
+      int old_cell;
+    };
+    std::vector<Touched> touched;
+    for (int i = 0; i < 12; ++i) {
+      const NodeId id = gates[rng.next_below(gates.size())];
+      const int up = lib_.upsize(design.network().node(id).cell);
+      bool seen = false;
+      for (const Touched& t : touched) seen = seen || t.id == id;
+      if (up < 0 || seen) continue;
+      touched.push_back({id, design.network().node(id).cell});
+      design.network().set_cell(id, up);
+    }
+    if (touched.empty()) continue;
+    design.timing_graph().sync_cells();
+    const std::size_t reverted = rng.next_below(touched.size() + 1);
+    for (std::size_t j = 0; j < reverted; ++j)
+      design.network().set_cell(touched[j].id, touched[j].old_cell);
+    for (const Touched& t : touched) timer.on_node_changed(t.id);
+    ++batches;
+    ASSERT_TRUE(timer.matches_full_sta())
+        << "diverged after batch " << batches << " (" << touched.size()
+        << " touched, " << reverted << " reverted)";
+  }
+  EXPECT_GT(batches, 20);
+}
+
+TEST_F(IncrementalVsFullTest, StructuralEditGrowsTheWorklists) {
+  // A structural edit that adds a new deepest logic level: after
+  // full_recompute() the engine's level buckets and membership marks must
+  // cover the new node, or notifying it indexes past their end.
+  Network net = random_circuit(31, 0.4);
+  const NodeId base_size = net.size();
+  // Per-node supplies with headroom for the node the edit adds (the
+  // engine keeps the spans it was built with).
+  std::vector<double> vdd(base_size + 1, lib_.vdd_high());
+  TimingContext ctx;
+  ctx.net = &net;
+  ctx.lib = &lib_;
+  ctx.node_vdd = vdd;
+  const double tspec = run_sta(net, lib_, -1.0).worst_arrival * 1.05;
+  IncrementalSta timer(ctx, tspec);
+  ASSERT_TRUE(timer.matches_full_sta());
+
+  const TimingGraph before(net, lib_);
+  const std::vector<int>& level = before.levels();
+  const NodeId deepest = static_cast<NodeId>(
+      std::max_element(level.begin(), level.end()) - level.begin());
+  const int inv = lib_.smallest_of("inv");
+  const NodeId tail =
+      net.add_gate(lib_.cell(inv).function, {deepest}, inv, "deep_tail");
+  net.add_output("deep_tail", tail);
+  ASSERT_EQ(tail, base_size);
+
+  timer.full_recompute();
+  ASSERT_TRUE(timer.matches_full_sta());
+  EXPECT_EQ(TimingGraph(net, lib_).levels()[tail], level[deepest] + 1);
+  vdd[tail] = lib_.vdd_low();
+  timer.on_node_changed(tail);
+  EXPECT_TRUE(timer.matches_full_sta());
+  vdd[deepest] = lib_.vdd_low();
+  timer.on_node_changed(deepest);
+  EXPECT_TRUE(timer.matches_full_sta());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -68,12 +69,17 @@ TEST(ThreadPoolTest, SingleThreadPoolStillCompletes) {
 TEST(ThreadPoolTest, StatsTrackPeakDepthAndTotalTasks) {
   ThreadPool pool(2);
   // Hold both workers hostage so further submissions stack up and the
-  // peak is deterministic.
+  // peak is deterministic.  The no-ops go in only once both hostages are
+  // running: a worker pops its own deque LIFO, so a no-op queued earlier
+  // could run ahead of its hostage and drain `pending` early.
   std::atomic<bool> release{false};
+  std::atomic<int> running{0};
   for (int i = 0; i < 2; ++i)
-    pool.submit([&release] {
+    pool.submit([&release, &running] {
+      running.fetch_add(1);
       while (!release.load()) std::this_thread::yield();
     });
+  while (running.load() < 2) std::this_thread::yield();
   for (int i = 0; i < 6; ++i) pool.submit([] {});
   const ThreadPoolStats loaded = pool.stats();
   EXPECT_EQ(loaded.threads, 2);
