@@ -105,7 +105,7 @@ GscaleResult run_gscale(Design& design, const GscaleOptions& options) {
       design.original_area() * (1.0 + options.area_budget_ratio);
 
   // One timer for the whole run: the initial CVS, every push's resizes
-  // and every push's CVS all notify it, so no step re-times from scratch.
+  // and every push's CVS all notify it.
   IncrementalSta timer(design.timing_context(), design.tspec());
   CvsResult cvs = run_cvs(design, options.cvs, timer);
   result.cvs_lowered += cvs.num_lowered;
