@@ -406,6 +406,91 @@ TEST(EcoSessionTest, SweepGridShapeAndPareto) {
   EXPECT_EQ(8u, registry.stats().sweep_cells);
 }
 
+/// One pinned cell of a sweep reply.
+struct PinnedCell {
+  const char* algo;
+  double improve_pct;
+  int low;
+  int resized;
+  double area_increase;
+  bool pareto;
+};
+
+void expect_sweep_cells(const Json::Object& reply,
+                        const std::vector<PinnedCell>& pinned) {
+  const Json::Array& cells = reply.at("cells").as_array();
+  ASSERT_EQ(pinned.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const PinnedCell& want = pinned[i];
+    const Json& got = cells[i];
+    EXPECT_EQ(want.algo, got.find("algo")->as_string()) << "cell " << i;
+    EXPECT_EQ(want.improve_pct, got.find("improve_pct")->as_double())
+        << "cell " << i;
+    EXPECT_EQ(want.low, got.find("low")->as_int()) << "cell " << i;
+    EXPECT_EQ(want.resized, got.find("resized")->as_int()) << "cell " << i;
+    EXPECT_EQ(want.area_increase, got.find("area_increase")->as_double())
+        << "cell " << i;
+    EXPECT_EQ(want.pareto, got.find("pareto")->as_bool()) << "cell " << i;
+  }
+}
+
+/// The paper's two design-choice experiments, pinned to the bit: E5
+/// sweeps Vlow at Vhigh = 5 V (why 4.3 V), E6 sweeps Gscale's area budget
+/// (why a 10% cap).  Cells are in grid order: ladder, algo, budget.
+TEST(EcoSessionTest, SweepReproducesE5AndE6Grids) {
+  const Library lib = build_compass_library();
+  DesignRegistry registry(&lib, DesignSessionConfig{});
+
+  registry.open(open_circuit("b9", "e5"));
+  SweepRequest vlow;
+  vlow.design = "e5";
+  vlow.vlow = {4.7, 4.5, 4.3, 4.0, 3.7, 3.3};
+  vlow.algos = {PaperAlgo::kCvs, PaperAlgo::kGscale};
+  expect_sweep_cells(
+      registry.sweep(vlow),
+      {
+          {"cvs", 0x1.b237bdfeb3c63p+2, 58, 0, 0x0.0p+0, false},  // 4.7
+          {"gscale", 0x1.61d298ca0a2bbp+3, 111, 10, 0x1.d8a50b63268bap-6,
+           true},
+          {"cvs", 0x1.6266121dfeb86p+3, 58, 0, 0x0.0p+0, false},  // 4.5
+          {"gscale", 0x1.2739016287a9dp+4, 111, 10, 0x1.d8a50b63268bap-6,
+           false},
+          {"cvs", 0x1.e5baa1de088f8p+3, 58, 0, 0x0.0p+0, false},  // 4.3
+          {"gscale", 0x1.954d0b42537d6p+4, 111, 20, 0x1.d8a50b63268bap-5,
+           true},
+          {"cvs", 0x1.4fc673965a5a3p+4, 58, 0, 0x0.0p+0, false},  // 4.0
+          {"gscale", 0x1.1975a00096313p+5, 111, 20, 0x1.7a1da2b5b86fbp-4,
+           true},
+          {"cvs", 0x1.a5fb3e73420acp+4, 58, 0, 0x0.0p+0, false},  // 3.7
+          {"gscale", 0x1.4b4eb1dfaad1bp+5, 104, 30, 0x1.8d05847201a8ap-4,
+           true},
+          {"cvs", 0x1.073f3784c9311p+5, 58, 0, 0x0.0p+0, false},  // 3.3
+          {"gscale", 0x1.6ce4668d6ea2ep+5, 88, 37, 0x1.97d8bd706563dp-4,
+           true},
+      });
+
+  registry.open(open_circuit("C432", "e6"));
+  SweepRequest budgets;
+  budgets.design = "e6";
+  budgets.area_budgets = {0.0, 0.02, 0.05, 0.10, 0.20, 0.40};
+  budgets.algos = {PaperAlgo::kGscale};
+  expect_sweep_cells(
+      registry.sweep(budgets),
+      {
+          {"gscale", 0x0.0p+0, 0, 0, 0x0.0p+0, false},  // 0%
+          {"gscale", 0x1.d9ebe86d2d750p+2, 46, 10, 0x1.3a10561d40e70p-6,
+           false},  // 2%
+          {"gscale", 0x1.23f185fb3ff85p+4, 121, 26, 0x1.98486ff2d45f8p-5,
+           true},  // 5%
+          {"gscale", 0x1.81a304d5c04b6p+4, 159, 42, 0x1.6b4011052df54p-4,
+           true},  // 10%
+          {"gscale", 0x1.81a304d5c04b6p+4, 159, 42, 0x1.6b4011052df54p-4,
+           true},  // 20%
+          {"gscale", 0x1.81a304d5c04b6p+4, 159, 42, 0x1.6b4011052df54p-4,
+           true},  // 40%
+      });
+}
+
 // ---- socket level: the NDJSON protocol end to end ----
 
 class EcoServiceTest : public ::testing::Test {
