@@ -224,13 +224,42 @@ struct Candidate {
   SupplyId to;    // deepest feasible rung
 };
 
+/// Moves the selected gates to their target rungs, then verifies the
+/// constraint and reverts the cheapest members if the conservative
+/// per-candidate model missed a second-order interaction (e.g. a fanin's
+/// converter losing load).  The incremental timer makes each
+/// commit/revert O(affected) instead of a full re-analysis.
+int commit_with_repair(Design& design, IncrementalSta& timer,
+                       std::vector<Candidate> selected) {
+  if (selected.empty()) return 0;
+  for (const Candidate& c : selected) {
+    design.set_level(c.id, c.to);
+    timer.on_node_changed(c.id);
+  }
+  std::sort(selected.begin(), selected.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return a.gain < b.gain;
+            });
+  std::size_t reverted = 0;
+  while (!timer.result().meets_constraint(1e-9) &&
+         reverted < selected.size()) {
+    design.set_level(selected[reverted].id, selected[reverted].from);
+    timer.on_node_changed(selected[reverted].id);
+    ++reverted;
+  }
+  DVS_ASSERT(timer.result().meets_constraint(1e-6));
+  return static_cast<int>(selected.size() - reverted);
+}
+
+}  // namespace
+
 /// Raises boundary drivers to the shallowest rung that clears their
 /// converter while doing so reduces total power.  Raising a gate speeds
 /// it up, but a converter can migrate onto a still-deep fanin, so timing
 /// is re-verified per raise (incrementally: each trial touches one gate's
 /// neighborhood); the fixpoint loop then reconsiders the migrated
 /// boundary.
-int trim_unprofitable_boundary(Design& design, IncrementalSta& timer) {
+int trim_boundary(Design& design, IncrementalSta& timer) {
   const Network& net = design.network();
   int raised_total = 0;
   double power = design.run_power().total();
@@ -265,39 +294,6 @@ int trim_unprofitable_boundary(Design& design, IncrementalSta& timer) {
     }
   }
   return raised_total;
-}
-
-/// Moves the selected gates to their target rungs, then verifies the
-/// constraint and reverts the cheapest members if the conservative
-/// per-candidate model missed a second-order interaction (e.g. a fanin's
-/// converter losing load).  The incremental timer makes each
-/// commit/revert O(affected) instead of a full re-analysis.
-int commit_with_repair(Design& design, IncrementalSta& timer,
-                       std::vector<Candidate> selected) {
-  if (selected.empty()) return 0;
-  for (const Candidate& c : selected) {
-    design.set_level(c.id, c.to);
-    timer.on_node_changed(c.id);
-  }
-  std::sort(selected.begin(), selected.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return a.gain < b.gain;
-            });
-  std::size_t reverted = 0;
-  while (!timer.result().meets_constraint(1e-9) &&
-         reverted < selected.size()) {
-    design.set_level(selected[reverted].id, selected[reverted].from);
-    timer.on_node_changed(selected[reverted].id);
-    ++reverted;
-  }
-  DVS_ASSERT(timer.result().meets_constraint(1e-6));
-  return static_cast<int>(selected.size() - reverted);
-}
-
-}  // namespace
-
-int trim_boundary(Design& design, IncrementalSta& timer) {
-  return trim_unprofitable_boundary(design, timer);
 }
 
 DscaleResult run_dscale(Design& design, const DscaleOptions& options) {
@@ -409,7 +405,7 @@ DscaleResult run_dscale(Design& design, const DscaleOptions& options) {
     if (committed == 0) break;  // nothing stuck: avoid spinning
   }
   if (options.trim_unprofitable)
-    result.mwis_lowered -= trim_unprofitable_boundary(design, timer);
+    result.mwis_lowered -= trim_boundary(design, timer);
   return result;
 }
 

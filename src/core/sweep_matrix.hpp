@@ -1,7 +1,7 @@
-// The sweep-matrix engine: one implementation of the supply-ladder x
-// area-budget x algorithm experiment grid behind the E5/E6 bench drivers
-// (bench/sweep_vlow.cpp, bench/sweep_area_budget.cpp) and the dvsd
-// `sweep` session verb.  Cells are independent (fresh library copy,
+// The sweep-matrix engine: the supply-ladder x area-budget x algorithm
+// experiment grid behind the dvsd `sweep` session verb, which reproduces
+// the paper's E5 (Vlow) and E6 (Gscale area budget) experiments (README
+// "ECO sessions").  Cells are independent (fresh library copy,
 // fresh circuit, per-cell seeds derived with the suite engine's
 // discipline), so they fan out on the ThreadPool and the result is
 // bit-identical however they were scheduled.  Each cell is one
@@ -9,7 +9,7 @@
 // cell at the base ladder and budget equals the matching suite cell.
 //
 // The circuit comes from a callback taking the cell's effective library:
-// generator-backed drivers rebuild (and re-map) the circuit at each
+// generator-backed sources rebuild (and re-map) the circuit at each
 // ladder's operating point, while design sessions return a snapshot of
 // the edited network whose mapping is pinned by construction.
 #pragma once
@@ -90,8 +90,7 @@ SweepMatrixResult run_sweep_matrix(
     const Library& base_lib, const SweepMatrixSpec& spec,
     ThreadPool* pool = nullptr);
 
-/// {"cells":[...], "pareto":[...], "count":N} — the `sweep` reply body
-/// and the bench drivers' --json payload.
+/// {"cells":[...], "pareto":[...], "count":N} — the `sweep` reply body.
 Json sweep_matrix_json(const SweepMatrixResult& result);
 
 }  // namespace dvs

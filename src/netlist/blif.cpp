@@ -350,10 +350,4 @@ std::string write_blif_string(const Network& net) {
   return out.str();
 }
 
-void write_blif_file(const Network& net, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write BLIF file: " + path);
-  out << write_blif_string(net);
-}
-
 }  // namespace dvs

@@ -33,6 +33,4 @@ Network read_blif_file(const std::string& path);
 /// Serializes the network as BLIF (.names with minterm covers).
 std::string write_blif_string(const Network& net);
 
-void write_blif_file(const Network& net, const std::string& path);
-
 }  // namespace dvs

@@ -145,13 +145,6 @@ std::string write_verilog_string(const Network& net, const Library& lib) {
   return out.str();
 }
 
-void write_verilog_file(const Network& net, const Library& lib,
-                        const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write Verilog file: " + path);
-  out << write_verilog_string(net, lib);
-}
-
 // ---------------------------------------------------------------------------
 // Reader for the structural subset the writer above emits.
 // ---------------------------------------------------------------------------

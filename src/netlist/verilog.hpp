@@ -19,9 +19,6 @@ namespace dvs {
 /// mapped cell names; pass the library the network was mapped with.
 std::string write_verilog_string(const Network& net, const Library& lib);
 
-void write_verilog_file(const Network& net, const Library& lib,
-                        const std::string& path);
-
 class VerilogError : public std::runtime_error {
  public:
   explicit VerilogError(const std::string& message)

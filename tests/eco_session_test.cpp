@@ -10,6 +10,7 @@
 #include <stdlib.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -74,6 +75,16 @@ Json::Object evaluate(DesignRegistry& registry, const std::string& design,
   return registry.reoptimize(request).fields;
 }
 
+/// The incremental and full evaluations of one design state: every field
+/// but `mode` must be identical, each double to the last bit.
+void expect_same_evaluation(Json::Object incremental, Json::Object full,
+                            const std::string& where) {
+  incremental.erase("mode");
+  full.erase("mode");
+  EXPECT_EQ(Json(std::move(incremental)).dump(), Json(std::move(full)).dump())
+      << where;
+}
+
 #define EXPECT_PROTOCOL_ERROR(expression, text)                   \
   try {                                                           \
     expression;                                                   \
@@ -130,20 +141,10 @@ TEST(EcoSessionTest, RandomEditsMatchStatelessExactly) {
         break;
       }
 
-      const Json::Object incremental = evaluate(registry, design, "auto");
-      const Json::Object full = evaluate(registry, design, "full");
-      for (const char* key :
-           {"power_uw", "arrival_ns", "slack_ns", "area_um2", "tspec_ns",
-            "org_power_uw", "improve_pct"})
-        EXPECT_EQ(incremental.at(key).as_double(),
-                  full.at(key).as_double())
-            << circuit << " step " << step << " field " << key;
-      for (const char* key : {"low", "level_converters", "resized"})
-        EXPECT_EQ(incremental.at(key).as_int(), full.at(key).as_int())
-            << circuit << " step " << step << " field " << key;
-      EXPECT_EQ(incremental.at("meets_tspec").as_bool(),
-                full.at("meets_tspec").as_bool())
-          << circuit << " step " << step;
+      expect_same_evaluation(evaluate(registry, design, "auto"),
+                             evaluate(registry, design, "full"),
+                             std::string(circuit) + " step " +
+                                 std::to_string(step));
     }
     EXPECT_GT(structural_steps, 0) << "edit mix never went structural";
 
@@ -167,6 +168,61 @@ TEST(EcoSessionTest, RandomEditsMatchStatelessExactly) {
     close.design = replay;
     registry.close(close);
   }
+}
+
+/// What a maintained session buys on a large circuit: after each of 10
+/// random point edits to C7552, the incremental reoptimize must equal the
+/// full recompute exactly, and the full path must take at least 5x the
+/// incremental path's summed time.
+TEST(EcoSessionTest, IncrementalReoptimizeIsFiveTimesFasterOnC7552) {
+  const Library lib = build_compass_library();
+  const int rungs = lib.supplies().depth();
+  DesignRegistry registry(&lib, DesignSessionConfig{});
+  Rng rng(0xec0);
+  const Json::Object opened = registry.open(open_circuit("C7552"));
+  const std::string design = opened.at("design").as_string();
+  const std::uint64_t id_bound =
+      static_cast<std::uint64_t>(opened.at("gates").as_int()) * 2;
+  evaluate(registry, design, "full");  // arms the timer outside the clock
+
+  const auto timed = [&](const char* mode, double* total_ms) {
+    const auto start = std::chrono::steady_clock::now();
+    Json::Object fields = evaluate(registry, design, mode);
+    *total_ms += std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+    return fields;
+  };
+  double incremental_ms = 0.0;
+  double full_ms = 0.0;
+  for (int step = 0; step < 10; ++step) {
+    // One point edit, biased toward rung flips: the classic ECO.
+    for (int attempt = 0;; ++attempt) {
+      ASSERT_LT(attempt, 1000) << "step " << step;
+      DesignEdit edit;
+      const int kind = rng.next_int(0, 3);
+      edit.op = kind <= 1   ? DesignEdit::Op::kRung
+                : kind == 2 ? DesignEdit::Op::kUpsize
+                            : DesignEdit::Op::kDownsize;
+      edit.rung = rng.next_int(0, rungs - 1);
+      edit.gate = Json(static_cast<std::int64_t>(rng.next_below(id_bound)));
+      try {
+        registry.edit(one_edit(design, edit));
+        break;
+      } catch (const ProtocolError&) {
+        // Not a gate / already at a rail — pick again.
+      }
+    }
+    Json::Object incremental = timed("incremental", &incremental_ms);
+    Json::Object full = timed("full", &full_ms);
+    expect_same_evaluation(std::move(incremental), std::move(full),
+                           "step " + std::to_string(step));
+  }
+  EXPECT_GE(full_ms, 5.0 * incremental_ms)
+      << "incremental " << incremental_ms << " ms, full " << full_ms
+      << " ms";
+  std::printf("eco: incremental reoptimize %.1fx faster than full\n",
+              full_ms / incremental_ms);
 }
 
 /// Auto mode resolves to the cheap path when it can and the full path

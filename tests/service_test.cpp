@@ -7,11 +7,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/suite.hpp"
 #include "library/library.hpp"
@@ -143,6 +145,19 @@ class ServiceTest : public ::testing::Test {
     return observer.recv().find("text")->as_string();
   }
 
+  /// Polls until a pool worker has dequeued a job.  dvsd_queue_wait_ms
+  /// ticks once per dequeue and never goes down, so a job that already
+  /// finished still counts (an `inflight >= 1` poll can miss it).  Fails
+  /// the test after ~5 s.
+  void await_first_dequeue() {
+    for (int spins = 0; spins < 5000; ++spins) {
+      if (metric_value(fetch_metrics(), "dvsd_queue_wait_ms_count") >= 1.0)
+        return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ADD_FAILURE() << "no job was ever dequeued";
+  }
+
   std::optional<Service> service_;
 };
 
@@ -190,30 +205,60 @@ TEST_F(ServiceTest, PingStatsAndUnknownType) {
   EXPECT_EQ(client.recv().find("type")->as_string(), "pong");
 }
 
+/// Every suite circuit of <= 300 gates, once cold from one client and
+/// then as hits from 4 concurrent clients: each reply must equal its
+/// serial suite row.  Then one client alone times clean hits (the
+/// concurrent pass measures contention, not the cache): the fastest of
+/// three passes must take at most a tenth of the cold pass's summed time.
 TEST_F(ServiceTest, NamedCircuitMatchesSuiteEngineAndCaches) {
   SuiteOptions suite;
-  suite.circuits = {"x2"};
+  suite.max_gates = 300;
   suite.num_threads = 1;
   const SuiteReport reference = run_suite(suite);
-  const std::string expected =
-      comparable(report_json(reference.rows[0], true, true, true));
+  ASSERT_FALSE(reference.rows.empty());
+  std::vector<std::string> expected;
+  for (const CircuitRunResult& row : reference.rows)
+    expected.push_back(comparable(report_json(row, true, true, true)));
+
+  // One client's pass over every circuit; returns its summed latency.
+  const auto pass = [&](const std::string& cache) {
+    Client client(port());
+    double total_ms = 0.0;
+    for (std::size_t i = 0; i < reference.rows.size(); ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      client.send(R"({"type":"optimize","circuit":")" +
+                  reference.rows[i].name + R"("})");
+      const Json reply = client.recv();
+      total_ms += std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+      if (reply.find("type")->as_string() != "result") {
+        ADD_FAILURE() << reply.dump();
+        continue;
+      }
+      EXPECT_EQ(reply.find("cache")->as_string(), cache)
+          << reference.rows[i].name;
+      EXPECT_EQ(comparable(*reply.find("report")), expected[i])
+          << reference.rows[i].name;
+    }
+    return total_ms;
+  };
+
+  const double cold_ms = pass("miss");
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) clients.emplace_back([&] { pass("hit"); });
+  for (std::thread& client : clients) client.join();
+  const double hit_ms =
+      std::min({pass("hit"), pass("hit"), pass("hit")});
+  EXPECT_GE(cold_ms, 10.0 * hit_ms)
+      << "cold " << cold_ms << " ms, hit " << hit_ms << " ms";
+  std::printf("cache hit: %.1fx faster than cold (%zu circuits)\n",
+              cold_ms / hit_ms, reference.rows.size());
 
   Client client(port());
-  const std::string request = R"({"type":"optimize","circuit":"x2"})";
-  client.send(request);
-  Json first = client.recv();
-  ASSERT_EQ(first.find("type")->as_string(), "result")
-      << first.dump();
-  EXPECT_EQ(first.find("cache")->as_string(), "miss");
-  EXPECT_EQ(comparable(*first.find("report")), expected);
   // Metrics are attached for every enabled algorithm.
-  EXPECT_NE(first.find("metrics")->find("gscale"), nullptr);
-
-  client.send(request);
-  Json second = client.recv();
-  EXPECT_EQ(second.find("cache")->as_string(), "hit");
-  EXPECT_EQ(comparable(*second.find("report")),
-            comparable(*first.find("report")));
+  client.send(R"({"type":"optimize","circuit":"x2"})");
+  EXPECT_NE(client.recv().find("metrics")->find("gscale"), nullptr);
 
   // A different seed is a different job, not a stale hit.
   client.send(
@@ -610,17 +655,11 @@ TEST_F(ServiceTest, DeadlineExpiresInQueue) {
   Client busy(port());
   busy.send(R"({"type":"optimize","circuit":"x2","use_cache":false,)"
             R"("options":{"vectors":1048576},"id":"long"})");
-  // Wait until the worker has actually *dequeued* the long job —
-  // dvsd_queue_wait_ms ticks exactly once per dequeue, so count >= 1
-  // proves the only worker is busy executing. (`inflight >= 1` is not
-  // enough: with the pool's LIFO own-deque pop, a still-queued long job
-  // would let the later 1 ms z4ml run first, within its deadline.)
-  for (int spins = 0;; ++spins) {
-    ASSERT_LT(spins, 5000) << "long job never dequeued";
-    if (metric_value(fetch_metrics(), "dvsd_queue_wait_ms_count") >= 1.0)
-      break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // Wait until the worker has actually *dequeued* the long job, so the
+  // only worker is busy executing. (`inflight >= 1` is not enough: with
+  // the pool's LIFO own-deque pop, a still-queued long job would let the
+  // later 1 ms z4ml run first, within its deadline.)
+  await_first_dequeue();
 
   // A 1 ms deadline cannot survive that queue wait: the job is admitted,
   // then fails with the structured timeout when the worker dequeues it.
@@ -643,11 +682,10 @@ TEST_F(ServiceTest, GracefulStopDrainsInFlightBatch) {
   // flight.  The drain must let the session finish and answer every item
   // (plus batch_done) before the socket closes.
   Client client(port());
-  client.send(
-      R"({"type":"batch","circuits":["x2","z4ml","pm1"],"id":"drain"})");
-  await_stats([](const Json& stats) {
-    return stats.find("pool")->find("inflight")->as_uint() >= 1;
-  });
+  client.send(R"({"type":"batch","circuits":["x2","z4ml","pm1"],)"
+              R"("use_cache":false,"options":{"vectors":1048576},)"
+              R"("id":"drain"})");
+  await_first_dequeue();
 
   service_->request_stop();
   service_->stop();  // blocks until drained
