@@ -80,6 +80,37 @@ void Design::sync_with_network() {
   refresh_boundary();
 }
 
+NodeId Design::insert_buffer(NodeId driver, const std::vector<NodeId>& moved,
+                             const std::vector<int>& moved_ports, int cell,
+                             std::string name) {
+  const bool carry = activity_valid_;
+  const NodeId buffer = net_.insert_between(driver, moved, moved_ports,
+                                            tt_buf(), cell, std::move(name));
+  sync_with_network();
+  if (carry) {
+    activity_.alpha01.resize(net_.size(), 0.0);
+    activity_.prob_one.resize(net_.size(), 0.0);
+    activity_.alpha01[buffer] = activity_.alpha01[driver];
+    activity_.prob_one[buffer] = activity_.prob_one[driver];
+    activity_valid_ = true;
+  }
+  return buffer;
+}
+
+void Design::bypass_buffer(NodeId id) {
+  DVS_EXPECTS(net_.is_valid(id));
+  const Node& node = net_.node(id);
+  DVS_EXPECTS(node.is_gate() && node.function == tt_buf());
+  const bool carry = activity_valid_;
+  net_.replace_uses(id, node.fanins.front());
+  sync_with_network();
+  if (carry) {
+    activity_.alpha01[id] = 0.0;
+    activity_.prob_one[id] = 0.0;
+    activity_valid_ = true;
+  }
+}
+
 int Design::original_cell(NodeId id) const {
   DVS_EXPECTS(id >= 0 && id < static_cast<NodeId>(original_cells_.size()));
   return original_cells_[id];

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "library/library.hpp"
@@ -64,8 +65,26 @@ class Design {
   void refresh_boundary();
 
   /// Called after structural network edits (node insertion, sizing does
-  /// not require it) to resize the per-node vectors.
+  /// not require it) to resize the per-node vectors.  Discards the
+  /// activity: an arbitrary edit may change the logic.
   void sync_with_network();
+
+  /// Logic-preserving structural edits (the ECO level-converter insert /
+  /// remove): each makes the Network edit, syncs, and carries a valid
+  /// activity through instead of discarding it.  The carry is exact, not
+  /// an approximation: a buffer's simulated output word equals its
+  /// driver's bit for bit, so estimate_activity gives the new node its
+  /// driver's alpha01 / prob_one and every other node what it had, and a
+  /// bypassed (dead) node 0.0.
+  ///
+  /// Inserts a `cell` buffer after `driver`, moving the `moved` fanouts
+  /// and the `moved_ports` output ports onto it (Network::insert_between).
+  NodeId insert_buffer(NodeId driver, const std::vector<NodeId>& moved,
+                       const std::vector<int>& moved_ports, int cell,
+                       std::string name);
+  /// Reroutes a buffer's fanouts and ports to its driver and removes it
+  /// (Network::replace_uses).  `id` must be a one-input buffer gate.
+  void bypass_buffer(NodeId id);
 
   // ---- sizing ------------------------------------------------------------
   /// Cell each gate carried when the Design was constructed.
@@ -95,8 +114,10 @@ class Design {
   /// Caller contract: `activity` must equal what this design would
   /// compute itself — same logic network, same options, same topological
   /// order — as when several Designs of one job are copies of one mapped
-  /// circuit.  A later structural edit (sync_with_network) discards it
-  /// and recomputes as usual.
+  /// circuit, or a copy of a design whose activity was carried through
+  /// buffer edits.  insert_buffer / bypass_buffer keep it (exactly);
+  /// any other structural edit (sync_with_network) discards it and the
+  /// next read re-simulates.
   void adopt_activity(Activity activity);
 
   PowerBreakdown run_power() const;

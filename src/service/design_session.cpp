@@ -135,8 +135,10 @@ NodeId resolve_gate(DesignRegistry::Handle& handle, const Json& gate) {
 }
 
 /// Applies one edit to the handle's design (handle mutex held).  Point
-/// edits notify the incremental timer; structural edits resync the
-/// Design's vectors and drop the timer (its spans just went stale).
+/// edits notify the incremental timer.  The structural edits (converter
+/// insert / remove) go through Design's buffer helpers, which resync its
+/// vectors and carry the activity exactly (a buffer leaves the logic
+/// unchanged); then the timer is dropped (its spans just went stale).
 void apply_edit(DesignRegistry::Handle& handle, const DesignEdit& edit,
                 bool* structural) {
   Design& design = *handle.design;
@@ -151,8 +153,7 @@ void apply_edit(DesignRegistry::Handle& handle, const DesignEdit& edit,
     net.set_cell(id, cell);
     notify();
   };
-  const auto resync = [&] {
-    design.sync_with_network();
+  const auto went_structural = [&] {
     handle.original_cells.resize(net.size(), -1);
     handle.ista.reset();
     handle.structural_dirty = true;
@@ -212,17 +213,17 @@ void apply_edit(DesignRegistry::Handle& handle, const DesignEdit& edit,
                             "' has no fanouts to convert");
       const std::string lc_name =
           "lc_" + node.name + "_" + std::to_string(net.structural_version());
-      net.insert_between(id, moved, moved_ports, tt_buf(),
-                         lib.level_converter(), lc_name);
-      resync();
+      design.insert_buffer(id, moved, moved_ports, lib.level_converter(),
+                           lc_name);
+      went_structural();
       break;
     }
     case DesignEdit::Op::kRemoveLc: {
-      if (node.cell != lib.level_converter() || node.fanins.size() != 1)
+      if (node.cell != lib.level_converter() || node.function != tt_buf())
         throw ProtocolError("gate '" + node.name +
                             "' is not a removable level converter");
-      net.replace_uses(id, node.fanins.front());
-      resync();
+      design.bypass_buffer(id);
+      went_structural();
       break;
     }
   }
@@ -501,8 +502,11 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
   if (request.pipelines.empty()) {
     // Evaluate mode: the ECO hot path.  Incremental reads the
     // maintained timer; full rebuilds a fresh Design from the current
-    // network — i.e. exactly the stateless computation — and then
-    // re-arms the timer for the next incremental round.
+    // network — its own timing graph, STA and power sweep, i.e. the
+    // stateless computation — and then re-arms the timer for the next
+    // incremental round.  Only the activity is carried over: no session
+    // edit changes the logic, so the session design's activity equals a
+    // fresh simulation bit for bit (Design::insert_buffer).
     bool full = false;
     if (request.mode == "incremental") {
       if (handle->structural_dirty)
@@ -525,6 +529,7 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
       for (NodeId id = 0; id < static_cast<NodeId>(net.size()); ++id)
         if (net.is_valid(id) && design.level(id) != fresh.level(id))
           fresh.set_level(id, design.level(id));
+      fresh.adopt_activity(design.activity());
       power = fresh.run_power().total();
       arrival = fresh.run_timing().worst_arrival;
       // Re-arm the session: timer rebuilt over the session design (same

@@ -20,6 +20,7 @@
 #include "service/design_session.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "service/session.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/socket.hpp"
@@ -111,11 +112,18 @@ TEST(EcoSessionTest, RandomEditsMatchStatelessExactly) {
     const std::string design = opened.at("design").as_string();
     const std::int64_t gates = opened.at("gates").as_int();
     std::vector<DesignEdit> log;  // successful edits, for the replay
+    // Node ids are never reused: the k-th inserted converter gets id
+    // (mapped network size) + k.  Live ones are what kRemoveLc draws from.
+    std::int64_t next_lc =
+        CircuitSource(lib, circuit, "", "", JobOptions{}).network().size();
+    std::vector<std::int64_t> live_lcs;
 
     int structural_steps = 0;
+    int removals = 0;
     for (int step = 0; step < 200; ++step) {
       // One random edit: mostly rung flips and resizes, occasionally a
-      // structural level-converter insertion.
+      // structural level-converter insertion or removal (of any live
+      // converter, the newest or an older one).
       for (int attempt = 0;; ++attempt) {
         ASSERT_LT(attempt, 1000) << circuit << " step " << step;
         DesignEdit edit;
@@ -126,17 +134,33 @@ TEST(EcoSessionTest, RandomEditsMatchStatelessExactly) {
         } else if (kind < 17) {
           edit.op = rng.next_bool() ? DesignEdit::Op::kUpsize
                                     : DesignEdit::Op::kDownsize;
-        } else {
+        } else if (kind < 19 || live_lcs.empty()) {
           edit.op = DesignEdit::Op::kInsertLc;
+        } else {
+          edit.op = DesignEdit::Op::kRemoveLc;
         }
-        edit.gate = Json(static_cast<std::int64_t>(
-            rng.next_below(static_cast<std::uint64_t>(gates) * 2)));
+        std::size_t removed = 0;
+        if (edit.op == DesignEdit::Op::kRemoveLc) {
+          removed = rng.next_below(live_lcs.size());
+          edit.gate = Json(live_lcs[removed]);
+        } else {
+          edit.gate = Json(static_cast<std::int64_t>(
+              rng.next_below(static_cast<std::uint64_t>(gates) * 2)));
+        }
         try {
           registry.edit(one_edit(design, edit));
         } catch (const ProtocolError&) {
           continue;  // not a gate / at a rail / no fanouts — pick again
         }
-        if (edit.op == DesignEdit::Op::kInsertLc) ++structural_steps;
+        if (edit.op == DesignEdit::Op::kInsertLc) {
+          live_lcs.push_back(next_lc++);
+          ++structural_steps;
+        } else if (edit.op == DesignEdit::Op::kRemoveLc) {
+          live_lcs.erase(live_lcs.begin() +
+                         static_cast<std::ptrdiff_t>(removed));
+          ++structural_steps;
+          ++removals;
+        }
         log.push_back(std::move(edit));
         break;
       }
@@ -147,6 +171,7 @@ TEST(EcoSessionTest, RandomEditsMatchStatelessExactly) {
                                  std::to_string(step));
     }
     EXPECT_GT(structural_steps, 0) << "edit mix never went structural";
+    EXPECT_GT(removals, 0) << "edit mix never removed a converter";
 
     // From-scratch cross-check: a second handle of the same circuit,
     // replaying the log, is the literal stateless run of the final
