@@ -164,12 +164,24 @@ TEST(SuiteTest, PaperColumnsStayPinnedOnThreeRungs) {
        {"C5315", 0x1.74d6028465d68p+4, 0x1.7c6063152d32bp+4,
         0x1.15160e4ead5dbp+5, 526, 557, 997, 9, 439,
         0x1.992df0a59b882p-4},
-       // Here Gscale reverts resizes after its lane sweep re-synced the
-       // shared graph: a revert left unannounced to the run's timer
-       // breaks this row.
+       // On these rows (and on no other circuit of the suite at this
+       // ladder) a Gscale push breaks the constraint and gives back some
+       // of its resizes, so they pin the revert search: which prefix it
+       // undoes, and that the run's timer hears of every revert.
        {"apex6", 0x1.39c1ca9d33ba4p+5, 0x1.3aef6a005abe9p+5,
         0x1.680e71b53a2d8p+5, 502, 509, 633, 3, 100,
-        0x1.d591e6c2f56f8p-5}});
+        0x1.d591e6c2f56f8p-5},
+       {"i10", 0x1.5836cc66a6558p+4, 0x1.5f9a5b9cc26c8p+4,
+        0x1.20d9afad19ed8p+5, 779, 829, 1597, 11, 705,
+        0x1.81dc0a1c1490cp-4},
+       {"C7552", 0x1.6eb858837d88ap+3, 0x1.7ef352faec166p+3,
+        0x1.b1213b2fcfb9cp+4, 575, 617, 1322, 11, 684,
+        0x1.812f67806a468p-4},
+       {"dalu", 0x1.c7d34a510a64bp+4, 0x1.d4f430194d6d8p+4,
+        0x1.1eae5494c665p+5, 452, 468, 606, 2, 163,
+        0x1.943d4e7b83adfp-4},
+       {"z4ml", 0x0p+0, 0x1.4dabfe2f9f9a4p+2, 0x1.94d40c9137ac7p+4, 0, 8,
+        24, 2, 15, 0x1.7d8c42b2836edp-4}});
 }
 
 }  // namespace
