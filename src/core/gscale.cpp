@@ -7,7 +7,6 @@
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
 #include "timing/cpn.hpp"
-#include "timing/graph.hpp"
 #include "timing/incremental.hpp"
 #include "timing/tcb.hpp"
 
@@ -22,12 +21,11 @@ struct AppliedResize {
 };
 
 /// Applies every affordable resize in `cut`, then verifies the constraint
-/// once and reverts the least useful resizes if the fanin-loading side
-/// effect broke a zero-slack path.  Returns the number kept.  The resize
-/// options are scored on `timer`'s state, which afterwards is notified of
-/// every cell touched, kept or reverted: the lane sweep re-syncs the
-/// shared graph to the upsized cells, so a reverted cell needs the notify
-/// too.
+/// and reverts the least useful resizes if the fanin-loading side effect
+/// broke a zero-slack path.  Returns the number kept.  The resize options
+/// are all scored on `timer`'s pre-push state; the timer then learns of
+/// the whole batch, and of each revert as it is made, so it ends equal to
+/// a full analysis of the kept resizes.
 int apply_cut_resizes(Design& design, IncrementalSta& timer,
                       const std::vector<NodeId>& cut, double area_budget,
                       double* area_used) {
@@ -49,44 +47,17 @@ int apply_cut_resizes(Design& design, IncrementalSta& timer,
             [](const AppliedResize& a, const AppliedResize& b) {
               return a.delay_gain < b.delay_gain;
             });
-  // Candidate states are the revert prefixes (first k resizes undone, in
-  // ascending delay-gain order), all known up front — so instead of
-  // re-timing after every single revert, score them in lane groups: one
-  // multi-lane sweep checks up to kLanes prefixes at once and the
-  // smallest feasible prefix wins.  Lane arrivals are bit-identical to
-  // the per-revert walks, so the chosen prefix is the same one the
-  // sequential loop found.
-  MultiLaneSta lanes(design.timing_context(), design.tspec());
-  lanes.run();
-  std::size_t reverted = 0;
-  double final_worst = lanes.base_worst_arrival();
-  if (final_worst > design.tspec() + 1e-9) {
-    constexpr std::size_t kLanes = 16;
-    reverted = applied.size();  // fallback: undo everything
-    bool found = false;
-    for (std::size_t g0 = 0; g0 < applied.size() && !found; g0 += kLanes) {
-      const std::size_t g1 = std::min(applied.size(), g0 + kLanes);
-      lanes.reset_lanes();
-      for (std::size_t k = g0; k < g1; ++k) {
-        const int lane = lanes.add_lane();
-        for (std::size_t j = 0; j <= k; ++j)
-          lanes.set_cell(lane, applied[j].id, applied[j].old_cell);
-      }
-      lanes.run();
-      for (std::size_t k = g0; k < g1; ++k) {
-        final_worst = lanes.worst_arrival(static_cast<int>(k - g0));
-        if (final_worst <= design.tspec() + 1e-9) {
-          reverted = k + 1;
-          found = true;
-          break;
-        }
-      }
-    }
-    for (std::size_t j = 0; j < reverted; ++j)
-      design.network().set_cell(applied[j].id, applied[j].old_cell);
-  }
-  DVS_ASSERT(final_worst <= design.tspec() + 1e-6);
   for (const AppliedResize& r : applied) timer.on_node_changed(r.id);
+  // Undo resizes in ascending delay-gain order until the constraint holds
+  // again: the smallest feasible revert prefix.
+  std::size_t reverted = 0;
+  while (reverted < applied.size() &&
+         timer.result().worst_arrival > design.tspec() + 1e-9) {
+    const AppliedResize& r = applied[reverted++];
+    design.network().set_cell(r.id, r.old_cell);
+    timer.on_node_changed(r.id);
+  }
+  DVS_ASSERT(timer.result().worst_arrival <= design.tspec() + 1e-6);
   *area_used = design.total_area();
   return static_cast<int>(applied.size() - reverted);
 }

@@ -25,11 +25,9 @@ enum Tombstone : int { kClosed, kExpired, kEvicted };
 /// One open design: the loaded Design plus everything pinned at open
 /// time so every later verb re-derives nothing — the loaded source (the
 /// effective library, at a stable address for the Design's lifetime, and
-/// the derived seed), the frozen tspec, the original cells (the sizing
-/// baseline "resized" counts against, immune to full-evaluate Design
-/// rebuilds), and the maintained incremental timer.  `mutex` serializes
-/// verbs on this design; refs / last_used / bytes are guarded by the
-/// registry mutex.
+/// the derived seed), the frozen tspec, and the maintained incremental
+/// timer.  `mutex` serializes verbs on this design; refs / last_used /
+/// bytes are guarded by the registry mutex.
 struct DesignRegistry::Handle {
   std::mutex mutex;
 
@@ -49,10 +47,6 @@ struct DesignRegistry::Handle {
   std::unique_ptr<IncrementalSta> ista;
   bool structural_dirty = false;
 
-  /// Sizing baseline per node id (-1 = not an original gate; inserted
-  /// level converters land here).
-  std::vector<int> original_cells;
-
   /// Lazy name -> id map for string gate addresses, rebuilt when the
   /// network's structural version moves.
   std::unordered_map<std::string, NodeId> gate_names;
@@ -62,25 +56,17 @@ struct DesignRegistry::Handle {
   int refs = 0;
   Clock::time_point last_used{};
   std::size_t bytes = 0;
-
-  int count_resized() const {
-    int resized = 0;
-    design->network().for_each_gate([&](const Node& n) {
-      const int original = n.id < static_cast<NodeId>(original_cells.size())
-                               ? original_cells[n.id]
-                               : -1;
-      if (original >= 0 && n.cell != original) ++resized;
-    });
-    return resized;
-  }
 };
 
 namespace {
 
 /// Resident-footprint estimate of one handle: network storage, the
-/// Design's per-node vectors, and ~64 B/node for the compiled timing
-/// graph + activity + STA state.  An estimate is enough — the budget
-/// exists to bound memory, not to account it to the byte.
+/// Design's per-node vectors, ~64 B/node for the compiled timing graph +
+/// activity + STA state, and the incremental timer's arrays (counted
+/// whether or not the timer is armed right now).  A function of the
+/// network alone, so only a structural edit moves it.  An estimate is
+/// enough — the budget exists to bound memory, not to account it to the
+/// byte.
 std::size_t estimate_bytes(const DesignRegistry::Handle& handle) {
   const Network& net = handle.design->network();
   std::size_t bytes = sizeof(DesignRegistry::Handle);
@@ -91,9 +77,8 @@ std::size_t estimate_bytes(const DesignRegistry::Handle& handle) {
   });
   bytes += static_cast<std::size_t>(net.size()) *
            (sizeof(SupplyId) + sizeof(double) + sizeof(char) + sizeof(int));
-  if (handle.ista)
-    bytes += static_cast<std::size_t>(net.size()) *
-             (3 * sizeof(RiseFall) + 3 * sizeof(double));
+  bytes += static_cast<std::size_t>(net.size()) *
+           (3 * sizeof(RiseFall) + 3 * sizeof(double));
   if (handle.source->ladder) bytes += 1u << 16;  // library copy
   return bytes;
 }
@@ -154,7 +139,6 @@ void apply_edit(DesignRegistry::Handle& handle, const DesignEdit& edit,
     notify();
   };
   const auto went_structural = [&] {
-    handle.original_cells.resize(net.size(), -1);
     handle.ista.reset();
     handle.structural_dirty = true;
     *structural = true;
@@ -393,10 +377,6 @@ Json::Object DesignRegistry::open(const OpenDesignRequest& request) {
             make_flow_design(mapped, lib, handle->base_flow, handle->tspec));
         handle->design->adopt_activity(std::move(activity));
         source.mapped.reset();  // the Design holds the only copy now
-        const Network& net = handle->design->network();
-        handle->original_cells.assign(net.size(), -1);
-        net.for_each_gate(
-            [&](const Node& n) { handle->original_cells[n.id] = n.cell; });
       } catch (...) {
         failure = std::current_exception();
       }
@@ -455,6 +435,7 @@ Json::Object DesignRegistry::edit(const EditRequest& request) {
     throw ProtocolError("unknown design handle '" + request.design + "'");
   bool structural = false;
   int applied = 0;
+  std::optional<ProtocolError> failure;
   try {
     for (const DesignEdit& e : request.edits) {
       apply_edit(*handle, e, &structural);
@@ -463,10 +444,10 @@ Json::Object DesignRegistry::edit(const EditRequest& request) {
   } catch (const ProtocolError& e) {
     // Edits before the failing one stay applied (README.md documents
     // the partial-application contract); the index pinpoints the rest.
-    throw ProtocolError("edit " + std::to_string(applied) + ": " +
-                        e.what());
+    failure.emplace("edit " + std::to_string(applied) + ": " + e.what());
   }
-  const std::size_t bytes = estimate_bytes(*handle);
+  // Point edits leave the footprint estimate where it was.
+  const std::size_t bytes = structural ? estimate_bytes(*handle) : 0;
   Json::Object fields;
   fields["design"] = Json(handle->name);
   fields["applied"] = Json(applied);
@@ -476,8 +457,9 @@ Json::Object DesignRegistry::edit(const EditRequest& request) {
   fields["gates"] = Json(handle->design->network().num_gates());
   lock.unlock();  // lock order: registry -> handle only
   std::lock_guard<std::mutex> registry_lock(mutex_);
+  if (structural) account_locked(handle, bytes);
+  if (failure) throw *failure;
   stats_.edits += static_cast<std::uint64_t>(applied);
-  account_locked(handle, bytes);
   return fields;
 }
 
@@ -557,7 +539,7 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
     out.fields["area_um2"] = Json(design.total_area());
     out.fields["low"] = Json(design.count_low());
     out.fields["level_converters"] = Json(design.count_lcs());
-    out.fields["resized"] = Json(handle->count_resized());
+    out.fields["resized"] = Json(design.count_resized());
     out.fields["org_power_uw"] = Json(handle->org_power_uw);
     out.fields["improve_pct"] =
         Json(improvement_pct(handle->org_power_uw, power));

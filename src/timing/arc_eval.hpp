@@ -1,16 +1,15 @@
 // The per-node timing recipe, written once.  The full sweep (run_sta),
-// the event-driven IncrementalSta, MultiLaneSta's per-lane path, the load
-// computation and the CPN extractor all call these inline functions
-// instead of keeping their own copy, so every engine produces the same
-// doubles by construction.  Internal header (not part of the public API
-// surface).
+// the event-driven IncrementalSta, the load computation and the CPN
+// extractor all call these inline functions instead of keeping their own
+// copy, so every engine produces the same doubles by construction.
+// Internal header (not part of the public API surface).
 //
 // The recipe reads the operating state through a *state view*: any type
 // with `vdd(id)`, `has_lc(id)` and `pin_cap(fanout_pin, graph_cap)` (all
 // a load needs), plus `arcs(id)`, `load(id)`, `lc_load(id)`,
 // `arrival(id)`, `lc_arrival(id)` and `required(id)` for the time
 // functions.  SupplyView / CommittedState below are the committed
-// state's views; MultiLaneSta adds a per-lane one.
+// state's views.
 #pragma once
 
 #include <algorithm>
@@ -350,7 +349,7 @@ inline double worst_port_arrival(const Network& net,
 
 /// The committed state's loads and arrivals in one topological pass over
 /// a synced graph: fills r.load, r.lc_load, r.arrival, r.lc_arrival and
-/// r.worst_arrival.  The forward half of run_sta, and MultiLaneSta's base.
+/// r.worst_arrival.  The forward half of run_sta.
 void forward_sweep(const TimingContext& ctx, const TimingGraph& g,
                    Recipe& k, StaResult& r);
 

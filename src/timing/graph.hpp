@@ -12,7 +12,7 @@
 //     in the exact visit order of `for_each_unique_fanout` + ascending pin
 //     scan, so float accumulation over the entries is bit-identical to the
 //     seed walks, plus per-(driver,sink) group boundaries and pin-cap sums;
-//   - the cached topological order, per-node ranks and logic levels;
+//   - the cached topological order and logic levels;
 //   - per-node output-port fanout counts and node-kind flags.
 //
 // Structure is immutable: the graph records the network's
@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -39,10 +38,6 @@
 #include "timing/sta.hpp"
 
 namespace dvs {
-
-namespace timing_detail {
-struct Recipe;
-}
 
 class TimingGraph {
  public:
@@ -71,8 +66,6 @@ class TimingGraph {
   // ---- cached orders ----------------------------------------------------
   /// Live nodes, fanins before fanouts; identical to topo_order(net).
   const std::vector<NodeId>& topo_order() const { return topo_order_; }
-  /// Topological rank per node id (dead slots hold 0).
-  const std::vector<int>& topo_ranks() const { return topo_rank_; }
   /// Logic level per node id (inputs 0, gates 1 + max fanin level; dead
   /// slots hold -1); identical to logic_levels(net).
   const std::vector<int>& levels() const { return level_; }
@@ -149,7 +142,6 @@ class TimingGraph {
   std::uint64_t structural_version_ = 0;
 
   std::vector<NodeId> topo_order_;
-  std::vector<int> topo_rank_;
   std::vector<int> level_;
   std::vector<char> gate_flag_;
   std::vector<int> port_count_;
@@ -176,117 +168,6 @@ class TimingGraph {
 
   // Mapped-cell snapshot the arcs/caps were resolved against.
   mutable std::vector<std::int32_t> cell_;
-};
-
-/// N-lane arrival-time engine: scores N candidate (rung, cell)
-/// assignments against a committed base state in one topological sweep
-/// over the compiled CSR arcs.
-///
-/// Layout: a lane-major structure-of-arrays block — for every node at or
-/// above the sparse "dirty-from" start rank (the minimum topological rank
-/// any lane's overrides touch, shared across lanes) the engine keeps
-/// `num_lanes` contiguous rise/fall arrival doubles, so the inner loop
-/// over lanes is a branch-free contiguous run that the compiler can
-/// auto-vectorize.  Nodes below the start rank are never re-walked: all
-/// lanes read the base arrivals computed once per run().
-///
-/// Exactness: lane results are bit-identical to re-running the full
-/// single-assignment STA on a design carrying the lane's overrides —
-/// not approximately equal.  The base is run_sta's own forward sweep, and
-/// every node a lane can influence directly (an overridden node and its
-/// gate fanins) calls the same per-node recipe run_sta calls
-/// (timing/arc_eval.hpp) through a per-lane state view: the lane's
-/// supplies, arcs and pin caps, LC flags re-derived with the `lc_needed`
-/// rule Design maintains, and loads from the recipe's load step.  The
-/// remaining nodes above the dirty rank take the fast path — the same
-/// recipe specialised to one scalar delay per pin with branch-free
-/// contiguous loops over lanes (a touched fanin's pin runs the recipe's
-/// pin step per lane) — so they reproduce the base doubles wherever
-/// their inputs do.
-///
-/// The context's spans must stay alive and describe the committed state
-/// for the engine's lifetime; point cell edits in the underlying network
-/// are absorbed by the sync_cells() every run() performs.  A structural
-/// network edit invalidates the compiled graph: run() detects the
-/// `structural_version()` bump, discards all lane state, and recompiles a
-/// private fallback graph (observable via recompiled()).
-class MultiLaneSta {
- public:
-  /// `tspec` is the required time used by worst_slack(); pass the
-  /// design's constraint.  Lane overrides start empty.
-  MultiLaneSta(const TimingContext& ctx, double tspec);
-  ~MultiLaneSta();
-
-  int add_lane();
-  int num_lanes() const { return static_cast<int>(lanes_.size()); }
-  /// Drops every lane and its overrides (buffers are kept for reuse).
-  void reset_lanes();
-
-  /// Overrides gate `id`'s supply rung in `lane`.  Requires the context
-  /// to carry `node_level` and `lc_on_output` spans (Design contexts do).
-  void set_level(int lane, NodeId id, SupplyId rung);
-  /// Overrides gate `id`'s mapped cell in `lane` (arcs + pin caps);
-  /// `cell < 0` means unmapped (default arcs / default pin caps).
-  void set_cell(int lane, NodeId id, int cell);
-
-  /// One base sweep + one lane sweep from the dirty rank.  Recompiles a
-  /// private graph first if the context's graph went stale.
-  void run();
-
-  double tspec() const { return tspec_; }
-  /// Worst arrival of the committed (no-override) state, from the last
-  /// run().
-  double base_worst_arrival() const { return base_.worst_arrival; }
-  double worst_arrival(int lane) const;
-  double worst_slack(int lane) const { return tspec_ - worst_arrival(lane); }
-  /// Arrival at `id`'s output in `lane`, from the last run().
-  RiseFall arrival(int lane, NodeId id) const;
-  /// True iff the last run() had to recompile (stale context graph).
-  bool recompiled() const { return recompiled_; }
-
- private:
-  struct Override {
-    NodeId node = kNoNode;
-    SupplyId level = 0;
-    int cell = -1;
-    char has_level = 0;
-    char has_cell = 0;
-  };
-
-  struct LaneView;
-
-  const TimingGraph& resolve_graph();
-  void build_closure(const TimingGraph& g);
-  void fill_effective(const TimingGraph& g, const timing_detail::Recipe& k);
-  void sweep_lanes(const TimingGraph& g, timing_detail::Recipe& k);
-
-  TimingContext ctx_;
-  double tspec_ = 0.0;
-  std::shared_ptr<const TimingGraph> fallback_;
-  bool recompiled_ = false;
-
-  std::vector<std::vector<Override>> lanes_;
-  std::vector<char> lane_has_level_;  // lane carries >=1 level override
-
-  // ---- products of the last run() ---------------------------------------
-  StaResult base_;  // committed state: loads, arrivals, worst arrival
-  int start_rank_ = 0;
-  int ran_lanes_ = 0;
-  // Lane block: node (by rank - start_rank_) major, lane minor.
-  std::vector<double> lane_ar_, lane_af_, lane_lr_, lane_lf_;
-  std::vector<double> lane_worst_;
-
-  // ---- override closure + per-(touched node, lane) effective state ------
-  std::vector<int> touch_row_;   // node id -> row in eff arrays, or -1
-  std::vector<NodeId> touch_list_;
-  // Slot (row, lane) = row * num_lanes() + lane.
-  std::vector<double> eff_vdd_, eff_load_, eff_lc_load_;
-  std::vector<SupplyId> eff_level_;
-  std::vector<char> eff_lc_on_;  // lane LC flag (lc_needed)
-  static constexpr int kBaseCell = -2;  // eff_cell_ sentinel: no override
-  std::vector<int> eff_cell_;
-  std::vector<const TimingArc*> eff_arcs_;  // per-pin arcs of the slot
-  std::vector<TimingArc> default_arcs_;     // of unmapped cell overrides
 };
 
 }  // namespace dvs

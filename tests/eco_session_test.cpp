@@ -425,6 +425,35 @@ TEST(EcoSessionTest, ByteBudgetEvictsOldestIdle) {
   EXPECT_GT(registry.stats().resident_bytes, 0u);
 }
 
+TEST(EcoSessionTest, FootprintEstimateMovesOnlyWithStructure) {
+  const Library lib = build_compass_library();
+  DesignRegistry registry(&lib, DesignSessionConfig{});
+  registry.open(open_circuit("b9", "fp"));
+  const std::int64_t gate = find_gate(registry, "fp");
+  const std::size_t at_open = registry.stats().resident_bytes;
+  ASSERT_GT(at_open, 0u);
+
+  // Point edits, before and after the timer is armed, leave it alone.
+  registry.edit(one_edit("fp", rung_edit(gate, 1)));
+  EXPECT_EQ(at_open, registry.stats().resident_bytes);
+  evaluate(registry, "fp", "auto");
+  registry.edit(one_edit("fp", rung_edit(gate, 0)));
+  EXPECT_EQ(at_open, registry.stats().resident_bytes);
+
+  DesignEdit insert;
+  insert.op = DesignEdit::Op::kInsertLc;
+  insert.gate = Json(gate);
+  registry.edit(one_edit("fp", insert));
+  const std::size_t after_insert = registry.stats().resident_bytes;
+  EXPECT_GT(after_insert, at_open);
+
+  // A batch that fails after a structural edit still re-estimates.
+  EditRequest batch = one_edit("fp", insert);
+  batch.edits.push_back(rung_edit(gate, 9));
+  EXPECT_THROW(registry.edit(batch), ProtocolError);
+  EXPECT_GT(registry.stats().resident_bytes, after_insert);
+}
+
 TEST(EcoSessionTest, TooManyOpenDesigns) {
   const Library lib = build_compass_library();
   DesignSessionConfig config;

@@ -238,10 +238,12 @@ TEST_F(IncrementalVsFullTest, BulkLowerThenRepairMatchesFull) {
 }
 
 TEST_F(IncrementalVsFullTest, BatchedResizeThenNotifyMatchesFull) {
-  // The Gscale commit pattern: upsize a batch of cells, let the lane sweep
-  // re-sync the shared graph to them, revert a prefix, and only then
-  // notify the timer once per touched node.  Until the last notify the
-  // timer sees several unannounced changes at once.
+  // Two batched cell-edit patterns, each leaving the timer with several
+  // unannounced changes at once.  First, the Gscale commit: upsize a
+  // batch and notify it, then revert one cell at a time, notifying
+  // between reverts, with the state exact after every revert.  Second:
+  // upsize a batch, re-sync the shared graph to it behind the timer's
+  // back, revert a prefix, and only then notify once per touched node.
   Network net = random_circuit(4242, 0.5);
   Design design(std::move(net), lib_);
   IncrementalSta timer(design.timing_context(), design.tspec());
@@ -249,13 +251,12 @@ TEST_F(IncrementalVsFullTest, BatchedResizeThenNotifyMatchesFull) {
   design.network().for_each_gate([&](const Node& g) {
     if (g.cell >= 0) gates.push_back(g.id);
   });
+  struct Touched {
+    NodeId id;
+    int old_cell;
+  };
   Rng rng(99);
-  int batches = 0;
-  for (int round = 0; round < 40; ++round) {
-    struct Touched {
-      NodeId id;
-      int old_cell;
-    };
+  const auto upsize_batch = [&] {
     std::vector<Touched> touched;
     for (int i = 0; i < 12; ++i) {
       const NodeId id = gates[rng.next_below(gates.size())];
@@ -266,6 +267,30 @@ TEST_F(IncrementalVsFullTest, BatchedResizeThenNotifyMatchesFull) {
       touched.push_back({id, design.network().node(id).cell});
       design.network().set_cell(id, up);
     }
+    return touched;
+  };
+
+  int reverts = 0;
+  for (int round = 0; round < 40; ++round) {
+    const std::vector<Touched> touched = upsize_batch();
+    if (touched.empty()) continue;
+    for (const Touched& t : touched) timer.on_node_changed(t.id);
+    ASSERT_TRUE(timer.matches_full_sta()) << "diverged in round " << round;
+    const std::size_t reverted = rng.next_below(touched.size() + 1);
+    for (std::size_t j = 0; j < reverted; ++j) {
+      design.network().set_cell(touched[j].id, touched[j].old_cell);
+      timer.on_node_changed(touched[j].id);
+      ++reverts;
+      ASSERT_TRUE(timer.matches_full_sta())
+          << "diverged in round " << round << " after revert " << j + 1
+          << " of " << reverted;
+    }
+  }
+  EXPECT_GT(reverts, 100);
+
+  int batches = 0;
+  for (int round = 0; round < 40; ++round) {
+    const std::vector<Touched> touched = upsize_batch();
     if (touched.empty()) continue;
     design.timing_graph().sync_cells();
     const std::size_t reverted = rng.next_below(touched.size() + 1);
