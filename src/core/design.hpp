@@ -120,6 +120,10 @@ class Design {
   /// next read re-simulates.
   void adopt_activity(Activity activity);
 
+  /// The power model's view of the current state: spans into this
+  /// Design (the activity simulated on first use), as timing_context()
+  /// is the timer's.
+  PowerContext power_context() const;
   PowerBreakdown run_power() const;
 
   /// Total cell area including virtual level converters (um^2).

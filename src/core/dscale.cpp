@@ -4,6 +4,7 @@
 
 #include "graph/antichain.hpp"
 #include "graph/reachability.hpp"
+#include "power/incremental.hpp"
 #include "support/contracts.hpp"
 #include "support/units.hpp"
 #include "timing/graph.hpp"
@@ -258,11 +259,13 @@ int commit_with_repair(Design& design, IncrementalSta& timer,
 /// it up, but a converter can migrate onto a still-deep fanin, so timing
 /// is re-verified per raise (incrementally: each trial touches one gate's
 /// neighborhood); the fixpoint loop then reconsiders the migrated
-/// boundary.
+/// boundary.  Power is scored the same way, by an IncrementalPower over
+/// the timer's loads whose total() equals run_power().total() exactly.
 int trim_boundary(Design& design, IncrementalSta& timer) {
   const Network& net = design.network();
+  IncrementalPower meter(design.power_context(), timer);
   int raised_total = 0;
-  double power = design.run_power().total();
+  double power = meter.total();
   for (bool changed = true; changed;) {
     changed = false;
     std::vector<NodeId> boundary;
@@ -281,7 +284,8 @@ int trim_boundary(Design& design, IncrementalSta& timer) {
       if (raised == previous) continue;  // boundary moved under the loop
       design.set_level(id, raised);
       timer.on_node_changed(id);
-      const double trial = design.run_power().total();
+      meter.on_node_changed(id);
+      const double trial = meter.total();
       if (trial < power - 1e-12 &&
           timer.result().meets_constraint(1e-9)) {
         power = trial;
@@ -290,6 +294,7 @@ int trim_boundary(Design& design, IncrementalSta& timer) {
       } else {
         design.set_level(id, previous);
         timer.on_node_changed(id);
+        meter.on_node_changed(id);
       }
     }
   }

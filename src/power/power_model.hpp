@@ -44,6 +44,26 @@ struct PowerBreakdown {
 
 PowerBreakdown compute_power(const PowerContext& ctx);
 
+/// One node's terms of equation (1), in uW.  Inputs and constants carry
+/// none (see compute_power).
+struct NodePower {
+  double switching = 0.0;
+  double internal = 0.0;
+  double converter = 0.0;
+  double leakage = 0.0;
+
+  /// The node's own total (PowerBreakdown::node_power).
+  double total() const {
+    return switching + (internal + leakage) + converter;
+  }
+};
+
+/// The per-node recipe compute_power and IncrementalPower share: the
+/// terms of node `id` under `ctx`, given its direct / level-converter
+/// load split and whether its converter drives any fanout pin.
+NodePower node_power(const PowerContext& ctx, NodeId id, double direct_load,
+                     double lc_load, bool lc_drives);
+
 /// Uniform single-supply convenience (all nodes at vdd_high, no LCs).
 PowerBreakdown compute_power(const Network& net, const Library& lib,
                              const Activity& activity,

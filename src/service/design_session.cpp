@@ -7,6 +7,7 @@
 #include "core/job.hpp"
 #include "core/sweep_matrix.hpp"
 #include "netlist/stats.hpp"
+#include "power/incremental.hpp"
 #include "service/session.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -26,8 +27,8 @@ enum Tombstone : int { kClosed, kExpired, kEvicted };
 /// time so every later verb re-derives nothing — the loaded source (the
 /// effective library, at a stable address for the Design's lifetime, and
 /// the derived seed), the frozen tspec, and the maintained incremental
-/// timer.  `mutex` serializes verbs on this design; refs / last_used /
-/// bytes are guarded by the registry mutex.
+/// timer and power engine.  `mutex` serializes verbs on this design;
+/// refs / last_used / bytes are guarded by the registry mutex.
 struct DesignRegistry::Handle {
   std::mutex mutex;
 
@@ -40,11 +41,13 @@ struct DesignRegistry::Handle {
 
   std::optional<CircuitSource> source;
   std::optional<Design> design;
-  /// Maintained incremental timer; dropped (null) by structural edits
-  /// and rebuilt by the next full evaluation.  While present, its
-  /// context spans point into `design`'s vectors — which is why any
-  /// edit that resizes them must reset it first.
+  /// Maintained incremental timer and the power engine beside it
+  /// (armed and dropped together); dropped (null) by structural edits
+  /// and rebuilt by the next full or auto evaluation.  While present,
+  /// their context spans point into `design`'s vectors — which is why
+  /// any edit that resizes them must reset them first.
   std::unique_ptr<IncrementalSta> ista;
+  std::unique_ptr<IncrementalPower> power;
   bool structural_dirty = false;
 
   /// Lazy name -> id map for string gate addresses, rebuilt when the
@@ -62,11 +65,11 @@ namespace {
 
 /// Resident-footprint estimate of one handle: network storage, the
 /// Design's per-node vectors, ~64 B/node for the compiled timing graph +
-/// activity + STA state, and the incremental timer's arrays (counted
-/// whether or not the timer is armed right now).  A function of the
-/// network alone, so only a structural edit moves it.  An estimate is
-/// enough — the budget exists to bound memory, not to account it to the
-/// byte.
+/// activity + STA state, and the incremental timer's and power engine's
+/// arrays (counted whether or not they are armed right now).  A function
+/// of the network alone, so only a structural edit moves it.  An
+/// estimate is enough — the budget exists to bound memory, not to
+/// account it to the byte.
 std::size_t estimate_bytes(const DesignRegistry::Handle& handle) {
   const Network& net = handle.design->network();
   std::size_t bytes = sizeof(DesignRegistry::Handle);
@@ -78,7 +81,7 @@ std::size_t estimate_bytes(const DesignRegistry::Handle& handle) {
   bytes += static_cast<std::size_t>(net.size()) *
            (sizeof(SupplyId) + sizeof(double) + sizeof(char) + sizeof(int));
   bytes += static_cast<std::size_t>(net.size()) *
-           (3 * sizeof(RiseFall) + 3 * sizeof(double));
+           (3 * sizeof(RiseFall) + 3 * sizeof(double) + sizeof(NodePower));
   if (handle.source->ladder) bytes += 1u << 16;  // library copy
   return bytes;
 }
@@ -119,11 +122,23 @@ NodeId resolve_gate(DesignRegistry::Handle& handle, const Json& gate) {
   return id;
 }
 
+/// Builds the handle's timer and power engine over the session design:
+/// one graph compile (when the network moved) and one full STA.
+void arm(DesignRegistry::Handle& handle) {
+  const Design& design = *handle.design;
+  handle.power.reset();  // it points at the timer replaced next
+  handle.ista =
+      std::make_unique<IncrementalSta>(design.timing_context(), handle.tspec);
+  handle.power =
+      std::make_unique<IncrementalPower>(design.power_context(), *handle.ista);
+}
+
 /// Applies one edit to the handle's design (handle mutex held).  Point
-/// edits notify the incremental timer.  The structural edits (converter
-/// insert / remove) go through Design's buffer helpers, which resync its
-/// vectors and carry the activity exactly (a buffer leaves the logic
-/// unchanged); then the timer is dropped (its spans just went stale).
+/// edits notify the incremental timer, then the power engine.  The
+/// structural edits (converter insert / remove) go through Design's
+/// buffer helpers, which resync its vectors and carry the activity
+/// exactly (a buffer leaves the logic unchanged); then both engines are
+/// dropped (their spans just went stale).
 void apply_edit(DesignRegistry::Handle& handle, const DesignEdit& edit,
                 bool* structural) {
   Design& design = *handle.design;
@@ -132,13 +147,16 @@ void apply_edit(DesignRegistry::Handle& handle, const DesignEdit& edit,
   const NodeId id = resolve_gate(handle, edit.gate);
   const Node& node = net.node(id);
   const auto notify = [&] {
-    if (handle.ista) handle.ista->on_node_changed(id);
+    if (!handle.ista) return;
+    handle.ista->on_node_changed(id);
+    handle.power->on_node_changed(id);
   };
   const auto set_cell = [&](int cell) {
     net.set_cell(id, cell);
     notify();
   };
   const auto went_structural = [&] {
+    handle.power.reset();
     handle.ista.reset();
     handle.structural_dirty = true;
     *structural = true;
@@ -482,30 +500,35 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
   DesignReoptimizeResult out;
 
   if (request.pipelines.empty()) {
-    // Evaluate mode: the ECO hot path.  Incremental reads the
-    // maintained timer; full rebuilds a fresh Design from the current
-    // network — its own timing graph, STA and power sweep, i.e. the
-    // stateless computation — and then re-arms the timer for the next
-    // incremental round.  Only the activity is carried over: no session
-    // edit changes the logic, so the session design's activity equals a
-    // fresh simulation bit for bit (Design::insert_buffer).
-    bool full = false;
-    if (request.mode == "incremental") {
-      if (handle->structural_dirty)
-        throw ProtocolError(
-            "cannot reoptimize '" + handle->name +
-            "' incrementally: structural edits require a full recompile "
-            "(mode 'full' or 'auto')");
-    } else if (request.mode == "full") {
-      full = true;
-    } else {
-      full = handle->structural_dirty;
-    }
+    // Evaluate mode: the ECO hot path.  Incremental and auto read the
+    // maintained timer and power engine; auto with structural debt first
+    // re-arms them over the session design (one compile, one full STA)
+    // and answers from them — the same doubles a fresh design gives, as
+    // both engines equal a full analysis exactly.  An explicit full is
+    // the stateless oracle: it rebuilds a fresh Design from the current
+    // network — its own timing graph, STA and power sweep — and then
+    // re-arms for the next incremental round.  Only the activity is
+    // carried over: no session edit changes the logic, so the session
+    // design's activity equals a fresh simulation bit for bit
+    // (Design::insert_buffer).
+    if (request.mode == "incremental" && handle->structural_dirty)
+      throw ProtocolError(
+          "cannot reoptimize '" + handle->name +
+          "' incrementally: structural edits require a full recompile "
+          "(mode 'full' or 'auto')");
+    const bool literal = request.mode == "full";
+    const bool full = literal || handle->structural_dirty;
 
-    const Clock::time_point mark = Clock::now();
+    // Depth-0 spans from consecutive timestamps, so they tile the verb.
+    Clock::time_point mark = Clock::now();
+    const auto span = [&](const char* name) {
+      const Clock::time_point now = Clock::now();
+      if (trace) trace->add(name, mark, now);
+      mark = now;
+    };
     double power = 0.0;
     double arrival = 0.0;
-    if (full) {
+    if (literal) {
       Design fresh =
           make_flow_design(net, lib, handle->base_flow, handle->tspec);
       for (NodeId id = 0; id < static_cast<NodeId>(net.size()); ++id)
@@ -514,19 +537,19 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
       fresh.adopt_activity(design.activity());
       power = fresh.run_power().total();
       arrival = fresh.run_timing().worst_arrival;
-      // Re-arm the session: timer rebuilt over the session design (same
-      // state the fresh evaluation just measured), structural debt paid.
-      handle->ista = std::make_unique<IncrementalSta>(
-          design.timing_context(), handle->tspec);
-      handle->structural_dirty = false;
-    } else {
-      if (!handle->ista)
-        handle->ista = std::make_unique<IncrementalSta>(
-            design.timing_context(), handle->tspec);
-      power = design.run_power().total();
-      arrival = handle->ista->result().worst_arrival;
+      span("evaluate");
     }
-    if (trace) trace->add("evaluate", mark, Clock::now());
+    if (full || !handle->ista) {
+      // Re-arm: structural debt paid, or the first evaluation since open.
+      arm(*handle);
+      handle->structural_dirty = false;
+      span("rearm");
+    }
+    if (!literal) {
+      power = handle->power->total();
+      arrival = handle->ista->result().worst_arrival;
+      span("evaluate");
+    }
 
     out.fields["design"] = Json(handle->name);
     out.fields["mode"] = Json(full ? "full" : "incremental");

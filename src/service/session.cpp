@@ -493,7 +493,7 @@ void Session::handle(const Request& request,
     case RequestType::kReoptimize:
     case RequestType::kSweep:
     case RequestType::kCloseDesign:
-      handle_design(request, received);
+      handle_design(request, received, parsed);
       break;
   }
 }
@@ -657,8 +657,8 @@ void Session::handle_optimize(const Request& request,
 }
 
 void Session::handle_design(
-    const Request& request,
-    std::chrono::steady_clock::time_point received) {
+    const Request& request, std::chrono::steady_clock::time_point received,
+    std::chrono::steady_clock::time_point parsed) {
   using Clock = std::chrono::steady_clock;
   DesignRegistry& designs = *core_->designs;
   const Json& id = request.id;
@@ -685,6 +685,7 @@ void Session::handle_design(
         error_response(id, overloaded_message(*core_), "overloaded"));
     return;
   }
+  const Clock::time_point admitted = Clock::now();
 
   if (request.type == RequestType::kSweep) {
     // Orchestrated inline: the matrix cells fan out on the pool while
@@ -710,25 +711,34 @@ void Session::handle_design(
 
   // open_design / reoptimize run as pool jobs — a design load or a
   // pipeline re-run is full flow computation, so connections share the
-  // worker budget exactly as optimize does.
+  // worker budget exactly as optimize does.  A reoptimize trace carries
+  // the same request phases as optimize around the registry's own
+  // spans, so its depth-0 spans tile wall_ms.
   const bool is_open = request.type == RequestType::kOpenDesign;
   std::shared_ptr<RequestTrace> trace;
   const bool wire_trace = !is_open && request.reoptimize.trace;
-  if (!is_open && core_->want_trace(request.reoptimize.trace))
+  if (!is_open && core_->want_trace(request.reoptimize.trace)) {
     trace = std::make_shared<RequestTrace>(received);
+    trace->add("parse", received, parsed);
+    trace->add("admission", parsed, admitted);
+  }
   auto promise = std::make_shared<std::promise<DesignReoptimizeResult>>();
   std::future<DesignReoptimizeResult> future = promise->get_future();
   ServiceCore* core = core_;
   // One shared copy — an open_design can carry a multi-MB netlist.
   auto req = std::make_shared<const Request>(request);
+  // Written by the job before it fulfils the promise.
+  auto finished = std::make_shared<Clock::time_point>();
   core_->metrics.inflight_jobs->add(1);
-  core_->pool->submit([core, req, promise, trace] {
+  core_->pool->submit([core, req, promise, trace, admitted, finished] {
+    if (trace) trace->add("queue_wait", admitted, Clock::now());
     try {
       DesignReoptimizeResult result;
       if (req->type == RequestType::kOpenDesign)
         result.fields = core->designs->open(req->open_design);
       else
         result = core->designs->reoptimize(req->reoptimize, trace.get());
+      *finished = Clock::now();
       promise->set_value(std::move(result));
     } catch (...) {
       promise->set_exception(std::current_exception());
@@ -739,6 +749,7 @@ void Session::handle_design(
   core_->metrics.jobs_completed->inc();
 
   const Clock::time_point done = Clock::now();
+  if (trace) trace->add("respond", *finished, done);
   const double wall_ms = ms_between(received, done);
   core_->metrics.service_ms_design->observe(wall_ms);
   Json::Object head =

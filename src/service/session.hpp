@@ -171,7 +171,8 @@ class Session {
   /// inline on this thread (ms-scale); sweep orchestrates inline and
   /// fans its cells onto the pool.
   void handle_design(const Request& request,
-                     std::chrono::steady_clock::time_point received);
+                     std::chrono::steady_clock::time_point received,
+                     std::chrono::steady_clock::time_point parsed);
 
   ServiceCore* core_;
   Socket socket_;

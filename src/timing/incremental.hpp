@@ -45,6 +45,10 @@ class IncrementalSta {
   /// Current timing state; always consistent with the last notified
   /// change.
   const StaResult& result() const { return result_; }
+  /// The captured context and the compiled graph the engine walks
+  /// (IncrementalPower reads both).
+  const TimingContext& context() const { return ctx_; }
+  const TimingGraph& graph() const { return *graph_; }
 
   /// The node's supply, cell, or LC flag changed (after the fact).
   /// Recomputes the affected loads, then propagates arrival changes

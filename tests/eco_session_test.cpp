@@ -9,6 +9,7 @@
 
 #include <stdlib.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -732,6 +733,60 @@ TEST_F(EcoServiceTest, FullSessionOverTheWire) {
   EXPECT_EQ("error", error.find("type")->as_string());
   EXPECT_EQ("design 'wire' is closed",
             error.find("message")->as_string());
+}
+
+/// A traced auto reoptimize carries the request phases around the
+/// registry's spans: the timer and power rebuild shows as its own depth-0
+/// `rearm` span only after a structural edit, and the depth-0 spans tile
+/// wall_ms with ServiceTest.TraceSpansTileTheRequest's slack.
+TEST_F(EcoServiceTest, ReoptimizeTraceShowsRearmOnlyAfterStructuralEdit) {
+  Client client(service_->port());
+  client.send(R"({"type":"open_design","circuit":"C432","name":"traced"})");
+  ASSERT_EQ("design_opened", client.recv().find("type")->as_string());
+  client.send(R"({"type":"reoptimize","design":"traced","mode":"full"})");
+  ASSERT_EQ("reoptimized", client.recv().find("type")->as_string());
+
+  // Applies the first edit `op` lands on, trying gate ids in order.
+  const auto edit_some_gate = [&](const std::string& op) {
+    for (int id = 0; id < 1000; ++id) {
+      client.send(R"({"type":"edit","design":"traced","edits":[{"op":")" +
+                  op + R"(","gate":)" + std::to_string(id) + "}]}");
+      if (client.recv().find("type")->as_string() == "edited") return true;
+    }
+    return false;
+  };
+  // Depth-0 span names of one traced auto reoptimize, in start order.
+  const auto traced_phases = [&](const std::string& expected_mode) {
+    client.send(
+        R"({"type":"reoptimize","design":"traced","mode":"auto","trace":true})");
+    const Json reply = client.recv();
+    EXPECT_EQ("reoptimized", reply.find("type")->as_string()) << reply.dump();
+    EXPECT_EQ(expected_mode, reply.find("mode")->as_string());
+    std::vector<std::string> phases;
+    double depth0 = 0.0;
+    const Json* trace = reply.find("trace");
+    if (trace == nullptr) {
+      ADD_FAILURE() << "no trace: " << reply.dump();
+      return phases;
+    }
+    for (const Json& span : trace->as_array()) {
+      if (span.find("depth")->as_int() != 0) continue;
+      depth0 += span.find("dur_ms")->as_double();
+      phases.push_back(span.find("name")->as_string());
+    }
+    const double wall = reply.find("wall_ms")->as_double();
+    EXPECT_NEAR(depth0, wall, std::max(0.05 * wall, 1.0)) << reply.dump();
+    return phases;
+  };
+
+  ASSERT_TRUE(edit_some_gate("upsize"));
+  EXPECT_EQ(traced_phases("incremental"),
+            (std::vector<std::string>{"parse", "admission", "queue_wait",
+                                      "evaluate", "respond"}));
+  ASSERT_TRUE(edit_some_gate("insert_lc"));
+  EXPECT_EQ(traced_phases("full"),
+            (std::vector<std::string>{"parse", "admission", "queue_wait",
+                                      "rearm", "evaluate", "respond"}));
 }
 
 TEST_F(EcoServiceTest, MalformedDesignRequestsAreContained) {

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "random_flips.hpp"
+
+#include "benchgen/mcnc.hpp"
+#include "benchgen/random_dag.hpp"
+#include "core/dscale.hpp"
+#include "power/incremental.hpp"
 #include "support/units.hpp"
+#include "timing/incremental.hpp"
 
 namespace dvs {
 namespace {
@@ -123,6 +132,148 @@ TEST_F(PowerTest, NodePowerSumsToTotal) {
   double sum = 0.0;
   for (double v : p.node_power) sum += v;
   EXPECT_NEAR(sum, p.total(), 1e-9);
+}
+
+// ---- IncrementalPower -------------------------------------------------------
+
+/// The incremental-engine streams (incremental_vs_full_test's random rung
+/// and resize flips on 400-gate hybrids, 2-, 3- and 4-rung ladders): after
+/// every step the maintained power must equal a fresh compute_power in
+/// every field, and total() must equal run_power().total(), with `==`.
+TEST(IncrementalPowerTest, LadderStreamsMatchFullPowerExactly) {
+  const std::vector<std::vector<double>> ladders = {
+      {5.0, 4.3}, {5.0, 4.3, 3.6}, {5.0, 4.6, 4.2, 3.8}};
+  int steps = 0;
+  int lc_moves = 0;  // steps that added or removed a converter
+  for (const std::vector<double>& rungs : ladders) {
+    Library lib = build_compass_library();
+    lib.set_supply_ladder(SupplyLadder(rungs));
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      HybridSpec spec;
+      spec.gates = 400;
+      spec.pis = 24;
+      spec.pos = 12;
+      spec.critical_fraction = 0.2 * static_cast<double>(seed % 5);
+      spec.seed = seed;
+      Design design(
+          build_hybrid_circuit(lib, spec, "lad" + std::to_string(seed)),
+          lib);
+      IncrementalSta timer(design.timing_context(), design.tspec());
+      IncrementalPower power(design.power_context(), timer);
+      ASSERT_TRUE(power.matches_full_power());
+      Rng rng(seed * 7919 + rungs.size());
+      for (int draw = 0; draw < 300; ++draw) {
+        const int lcs = design.count_lcs();
+        const NodeId id = random_flip(design, rng);
+        if (id == kNoNode) continue;
+        timer.on_node_changed(id);
+        power.on_node_changed(id);
+        ++steps;
+        lc_moves += design.count_lcs() != lcs;
+        ASSERT_TRUE(power.matches_full_power())
+            << rungs.size() << " rungs, seed " << seed << ", draw " << draw
+            << " (node " << id << ")";
+        ASSERT_EQ(power.total(), design.run_power().total());
+      }
+    }
+  }
+  EXPECT_GT(steps, 10000);
+  EXPECT_GT(lc_moves, 1000);
+}
+
+/// Several changes made before any notify, then one timer-then-power
+/// notify per touched node: exact once every touched node is notified.
+TEST(IncrementalPowerTest, BatchedChangesThenNotifyMatchFullPower) {
+  const Library lib = build_compass_library();
+  HybridSpec spec;
+  spec.gates = 160;
+  spec.pis = 16;
+  spec.pos = 8;
+  spec.critical_fraction = 0.5;
+  spec.seed = 4242;
+  Design design(build_hybrid_circuit(lib, spec, "rnd4242"), lib);
+  IncrementalSta timer(design.timing_context(), design.tspec());
+  IncrementalPower power(design.power_context(), timer);
+  Rng rng(99);
+  for (int round = 0; round < 40; ++round) {
+    std::vector<NodeId> touched;
+    for (int i = 0; i < 12; ++i) {
+      const NodeId id = random_flip(design, rng);
+      if (id != kNoNode) touched.push_back(id);
+    }
+    for (NodeId id : touched) {
+      timer.on_node_changed(id);
+      power.on_node_changed(id);
+    }
+    ASSERT_TRUE(power.matches_full_power()) << "round " << round;
+  }
+}
+
+/// Dscale's trim (trim_boundary) walked step by step on C432 and alu4:
+/// the engine must match compute_power after each trial raise and each
+/// revert, and the walk must make the decisions trim_boundary makes.
+TEST(IncrementalPowerTest, TrimBoundaryTrialsMatchFullPower) {
+  const Library lib = build_compass_library();
+  DscaleOptions untrimmed;
+  untrimmed.trim_unprofitable = false;
+  int trials = 0;
+  int reverts = 0;
+  for (const char* name : {"C432", "alu4"}) {
+    Design design(build_mcnc_circuit(lib, *find_mcnc(name)), lib);
+    run_dscale(design, untrimmed);
+    Design reference = design;
+
+    IncrementalSta timer(design.timing_context(), design.tspec());
+    IncrementalPower power(design.power_context(), timer);
+    ASSERT_TRUE(power.matches_full_power()) << name;
+    const Network& net = design.network();
+    int raised_total = 0;
+    double best = power.total();
+    for (bool changed = true; changed;) {
+      changed = false;
+      std::vector<NodeId> boundary;
+      net.for_each_gate([&](const Node& g) {
+        if (design.needs_lc(g.id)) boundary.push_back(g.id);
+      });
+      for (NodeId id : boundary) {
+        const SupplyId previous = design.level(id);
+        SupplyId raised = previous;
+        for (NodeId fo : net.node(id).fanouts)
+          if (net.node(fo).is_gate())
+            raised = std::min(raised, design.level(fo));
+        if (raised == previous) continue;
+        design.set_level(id, raised);
+        timer.on_node_changed(id);
+        power.on_node_changed(id);
+        ++trials;
+        ASSERT_TRUE(power.matches_full_power()) << name << " raise " << id;
+        const double trial = power.total();
+        ASSERT_EQ(trial, design.run_power().total()) << name;
+        if (trial < best - 1e-12 && timer.result().meets_constraint(1e-9)) {
+          best = trial;
+          ++raised_total;
+          changed = true;
+        } else {
+          design.set_level(id, previous);
+          timer.on_node_changed(id);
+          power.on_node_changed(id);
+          ++reverts;
+          ASSERT_TRUE(power.matches_full_power()) << name << " revert " << id;
+        }
+      }
+    }
+
+    IncrementalSta reference_timer(reference.timing_context(),
+                                   reference.tspec());
+    EXPECT_EQ(trim_boundary(reference, reference_timer), raised_total)
+        << name;
+    net.for_each_gate([&](const Node& g) {
+      EXPECT_EQ(design.level(g.id), reference.level(g.id)) << name;
+    });
+  }
+  std::printf("trim walk: %d trial raises, %d reverts\n", trials, reverts);
+  EXPECT_GT(trials, 0);
+  EXPECT_GT(reverts, 0);
 }
 
 }  // namespace
