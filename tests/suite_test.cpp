@@ -184,5 +184,32 @@ TEST(SuiteTest, PaperColumnsStayPinnedOnThreeRungs) {
         24, 2, 15, 0x1.7d8c42b2836edp-4}});
 }
 
+// The same circuits on four rungs: the TCB and the Dscale scan visit a
+// gate's rungs in an order that only a ladder of three or more rungs can
+// tell apart, and only this ladder has more than one intermediate rung.
+TEST(SuiteTest, PaperColumnsStayPinnedOnFourRungs) {
+  expect_pinned(
+      {5.0, 4.6, 4.2, 3.8},
+      {{"C432", 0x0p+0, 0x1.e5116947ab636p+1, 0x1.815ef1da6d939p+4, 0, 25,
+        107, 5, 59, 0x1.96c3674618302p-4},
+       {"alu4", 0x1.e18698dfb4b44p+2, 0x1.117c3c2a1fcc3p+3,
+        0x1.e0ea02c113e68p+3, 108, 124, 262, 1, 145, 0x1.992b2bcc18e74p-4},
+       {"C5315", 0x1.46fdde046542p+4, 0x1.4ddc2ac239457p+4,
+        0x1.0bd9cc4315074p+5, 526, 561, 1121, 10, 438,
+        0x1.991ddf126281cp-4},
+       {"apex6", 0x1.132d5b73ec0a6p+5, 0x1.13a4494de4e4p+5,
+        0x1.429f1d2a49839p+5, 502, 506, 648, 2, 83, 0x1.900cecd2f9536p-5},
+       {"i10", 0x1.2de3b0256a938p+4, 0x1.3364bbffb2d35p+4,
+        0x1.1dc3c462a224ep+5, 779, 820, 1994, 10, 697,
+        0x1.995e8e6c71584p-4},
+       {"C7552", 0x1.419d848aaa2ebp+3, 0x1.538aa643b2dddp+3,
+        0x1.b66575bc23e9ep+4, 575, 625, 1490, 11, 680,
+        0x1.7f5200e55034fp-4},
+       {"dalu", 0x1.8fc296cb16719p+4, 0x1.9b2f8da921968p+4,
+        0x1.03c7d4c7880ap+5, 452, 466, 608, 1, 157, 0x1.7de86a8217958p-4},
+       {"z4ml", 0x0p+0, 0x1.170f2b93c2a03p+2, 0x1.b3c06030814aap+4, 0, 8,
+        29, 2, 15, 0x1.970cc03ec6216p-4}});
+}
+
 }  // namespace
 }  // namespace dvs
