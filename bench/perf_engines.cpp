@@ -274,10 +274,10 @@ void BM_IncrementalFlipInterior(benchmark::State& state) {
 }
 BENCHMARK(BM_IncrementalFlipInterior)->DenseRange(0, 5);
 
-/// One Dscale candidate-collection round over the big circuits: the
-/// deepest-first batched lane-group scan with the hoisted lowering
-/// model (plus the MWIS selection and commit it feeds).
-void BM_BatchedDscaleScan(benchmark::State& state) {
+/// One Dscale round over the big circuits: the candidate scan (each gate
+/// walks its rungs deepest first through the hoisted lowering model),
+/// plus the MWIS selection and commit it feeds.
+void BM_DscaleRound(benchmark::State& state) {
   const dvs::Network& net = circuit(kByIndex[state.range(0)]);
   dvs::DscaleOptions options;
   options.run_initial_cvs = false;
@@ -289,7 +289,7 @@ void BM_BatchedDscaleScan(benchmark::State& state) {
   state.SetLabel(net.name());
   state.counters["gates"] = net.num_gates();
 }
-BENCHMARK(BM_BatchedDscaleScan)->DenseRange(5, 7);
+BENCHMARK(BM_DscaleRound)->DenseRange(5, 7);
 
 }  // namespace
 
@@ -307,8 +307,8 @@ int main(int argc, char** argv) {
           "Engine microbenchmarks (cold/steady-state full STA, timing-\n"
           "graph compilation, activity estimation, antichain max-flow,\n"
           "CVS/Dscale/Gscale, pipeline-dispatch overhead, metrics\n"
-          "counter/histogram cost, per-flip incremental STA, batched\n"
-          "Dscale scan rounds) over MCNC stand-ins.  --json =\n"
+          "counter/histogram cost, per-flip incremental STA, single\n"
+          "Dscale rounds) over MCNC stand-ins.  --json =\n"
           "--benchmark_format=json (CI stores it as BENCH_engines.json);\n"
           "everything else is passed to google-benchmark\n"
           "(--benchmark_filter=REGEX, --benchmark_min_time=T, ...).\n"

@@ -205,49 +205,4 @@ Network build_ripple_adder(const Library& lib, int bits, std::string name,
   return net;
 }
 
-Network build_parity_tree(const Library& lib, int width, std::string name) {
-  DVS_EXPECTS(width >= 2);
-  Network net(std::move(name));
-  const int xor_cell = lib.find("xor2_d0");
-  DVS_ASSERT(xor_cell >= 0);
-  std::vector<NodeId> layer;
-  for (int i = 0; i < width; ++i)
-    layer.push_back(net.add_input("in" + std::to_string(i)));
-  while (layer.size() > 1) {
-    std::vector<NodeId> next;
-    for (std::size_t i = 0; i + 1 < layer.size(); i += 2)
-      next.push_back(net.add_gate(lib.cell(xor_cell).function,
-                                  {layer[i], layer[i + 1]}, xor_cell));
-    if (layer.size() % 2) next.push_back(layer.back());
-    layer = std::move(next);
-  }
-  net.add_output("parity", layer.front());
-  net.check();
-  return net;
-}
-
-Network build_mux_tree(const Library& lib, int levels, std::string name) {
-  DVS_EXPECTS(levels >= 1 && levels <= 10);
-  Network net(std::move(name));
-  const int mux_cell = lib.find("mux2_d0");
-  DVS_ASSERT(mux_cell >= 0);
-  std::vector<NodeId> data;
-  for (int i = 0; i < (1 << levels); ++i)
-    data.push_back(net.add_input("d" + std::to_string(i)));
-  std::vector<NodeId> sel;
-  for (int i = 0; i < levels; ++i)
-    sel.push_back(net.add_input("s" + std::to_string(i)));
-  for (int l = 0; l < levels; ++l) {
-    std::vector<NodeId> next;
-    for (std::size_t i = 0; i + 1 < data.size(); i += 2)
-      next.push_back(net.add_gate(lib.cell(mux_cell).function,
-                                  {data[i], data[i + 1], sel[l]},
-                                  mux_cell));
-    data = std::move(next);
-  }
-  net.add_output("out", data.front());
-  net.check();
-  return net;
-}
-
 }  // namespace dvs

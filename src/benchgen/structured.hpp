@@ -56,10 +56,4 @@ GridPart add_grid_part(Network& net, const Library& lib,
 Network build_ripple_adder(const Library& lib, int bits, std::string name,
                            bool maxed_sizes = false);
 
-/// Balanced XOR parity tree over `width` inputs (single output).
-Network build_parity_tree(const Library& lib, int width, std::string name);
-
-/// 2^levels : 1 multiplexer tree built from mux2 cells.
-Network build_mux_tree(const Library& lib, int levels, std::string name);
-
 }  // namespace dvs

@@ -68,8 +68,6 @@ int Design::count_lcs() const {
   return count;
 }
 
-void Design::refresh_boundary() { recompute_boundary(*this); }
-
 void Design::sync_with_network() {
   const int n = net_.size();
   levels_.resize(n, kTopRung);
@@ -77,7 +75,7 @@ void Design::sync_with_network() {
   lc_flags_.resize(n, 0);
   original_cells_.resize(n, -1);
   activity_valid_ = false;
-  refresh_boundary();
+  recompute_boundary(*this);
 }
 
 NodeId Design::insert_buffer(NodeId driver, const std::vector<NodeId>& moved,

@@ -61,9 +61,6 @@ class Design {
   bool needs_lc(NodeId id) const { return lc_flags_[id] != 0; }
   int count_lcs() const;
 
-  /// Recomputes all LC flags from scratch (after bulk edits).
-  void refresh_boundary();
-
   /// Called after structural network edits (node insertion, sizing does
   /// not require it) to resize the per-node vectors.  Discards the
   /// activity: an arbitrary edit may change the logic.

@@ -9,7 +9,6 @@
 #include "support/units.hpp"
 #include "timing/graph.hpp"
 #include "timing/incremental.hpp"
-#include "timing/loads.hpp"
 
 namespace dvs {
 
@@ -23,14 +22,6 @@ struct LoweringEffect {
   double gross_gain_uw = 0.0; // voltage-scaling gain on the gate alone
   double net_gain_uw = 0.0;   // gross gain minus level-converter cost
   double delay_increase = 0.0;
-};
-
-/// One (gate, committed rung, strictly deeper target rung) probe of a
-/// batched scan round.
-struct LoweringProbe {
-  NodeId id = kNoNode;
-  SupplyId from = 0;
-  SupplyId to = 0;
 };
 
 /// Per-library constants of the lowering model, hoisted once per Dscale
@@ -329,44 +320,28 @@ DscaleResult run_dscale(Design& design, const DscaleOptions& options) {
       break;
     const StaResult& sta = timer.result();
 
-    // getSlkSet + check_timing + weight_with_power_gain, fused and
-    // batched: collect every gate whose move to a deeper rung fits its
-    // slack with positive gain, taking the deepest feasible rung per
-    // gate.  Instead of walking each gate's rung ladder independently,
-    // the scan runs deepest-first rounds over one shared target rung —
-    // each round is a homogeneous lane group probing every unresolved
-    // gate at that rung with the model constants hoisted — and a gate
-    // resolved in an earlier (deeper) round drops out, which is exactly
-    // the per-gate "deepest feasible wins" break.  Probe math and probe
-    // set are unchanged, so the candidate list is identical.
+    // getSlkSet + check_timing + weight_with_power_gain, fused: collect
+    // every gate whose move to a deeper rung fits its slack with positive
+    // gain.  Each gate walks its rungs deepest first and keeps the first
+    // (deepest) feasible, profitable target.
     std::vector<Candidate> candidates;
-    std::vector<NodeId> eligible;
     net.for_each_gate([&](const Node& gate) {
       const SupplyId current = design.level(gate.id);
       if (gate.cell < 0 || current == deepest) return;
       if (sta.slack[gate.id] <= options.slack_margin) return;
-      eligible.push_back(gate.id);
-    });
-    std::vector<Candidate> pick(net.size());
-    std::vector<char> resolved(net.size(), 0);
-    for (SupplyId target = deepest; target > kTopRung; --target) {
-      for (NodeId id : eligible) {
-        const SupplyId current = design.level(id);
-        if (resolved[id] != 0 || current >= target) continue;
+      for (SupplyId target = deepest; target > current; --target) {
         const LoweringEffect effect =
-            evaluate_lowering(design, graph, sta, activity, model, id,
+            evaluate_lowering(design, graph, sta, activity, model, gate.id,
                               options.slack_margin, current, target);
         const double weight = options.lc_aware_weights
                                   ? effect.net_gain_uw
                                   : effect.gross_gain_uw;
         if (effect.feasible && weight > options.min_gain_uw) {
-          pick[id] = {id, weight, current, target};
-          resolved[id] = 1;
+          candidates.push_back({gate.id, weight, current, target});
+          return;
         }
       }
-    }
-    for (NodeId id : eligible)
-      if (resolved[id] != 0) candidates.push_back(pick[id]);
+    });
     if (candidates.empty()) break;
     ++result.rounds;
 

@@ -2,8 +2,6 @@
 
 #include <limits>
 
-#include "support/contracts.hpp"
-
 namespace dvs {
 
 ResizeOption evaluate_upsize(const Design& design, const StaResult& sta,
@@ -46,21 +44,6 @@ ResizeOption evaluate_upsize(const Design& design, const StaResult& sta,
                       ? option.area_penalty / option.delay_gain
                       : std::numeric_limits<double>::infinity();
   return option;
-}
-
-bool apply_resize_checked(Design& design, NodeId id, int new_cell) {
-  Network& net = design.network();
-  const int old_cell = net.node(id).cell;
-  DVS_EXPECTS(old_cell >= 0 && new_cell >= 0);
-  DVS_EXPECTS(design.library().cell(old_cell).function ==
-              design.library().cell(new_cell).function);
-  net.set_cell(id, new_cell);
-  const StaResult sta = design.run_timing();
-  if (!sta.meets_constraint(1e-9)) {
-    net.set_cell(id, old_cell);
-    return false;
-  }
-  return true;
 }
 
 }  // namespace dvs

@@ -22,9 +22,4 @@ struct ResizeOption {
 ResizeOption evaluate_upsize(const Design& design, const StaResult& sta,
                              NodeId id);
 
-/// Applies the resize.  Returns false (and leaves the design untouched)
-/// when the resize would break the timing constraint — upsizing loads the
-/// fanin drivers, which the weight model does not see.
-bool apply_resize_checked(Design& design, NodeId id, int new_cell);
-
 }  // namespace dvs

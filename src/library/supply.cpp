@@ -38,12 +38,6 @@ double SupplyLadder::voltage(SupplyId rung) const {
   return voltages_[rung];
 }
 
-int SupplyLadder::rung_of(double vdd) const {
-  for (std::size_t r = 0; r < voltages_.size(); ++r)
-    if (voltages_[r] == vdd) return static_cast<int>(r);
-  return -1;
-}
-
 std::vector<double> SupplyLadder::delay_factors(const VoltageModel& vm) const {
   std::vector<double> factors;
   factors.reserve(voltages_.size());

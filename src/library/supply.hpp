@@ -60,10 +60,6 @@ class SupplyLadder {
   double bottom() const { return voltages_.back(); }
   const std::vector<double>& voltages() const { return voltages_; }
 
-  /// Rung whose voltage equals `vdd` exactly (the per-node supply vectors
-  /// are assigned from voltage(), so exact comparison is sound), or -1.
-  int rung_of(double vdd) const;
-
   /// Converter policy: a driver at `driver` feeding a sink at `sink`
   /// needs level restoration iff the sink sits on a strictly shallower
   /// (higher voltage) rung.

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -494,14 +493,6 @@ Network read_verilog_string(const std::string& text, const Library& lib) {
   if (!inst) throw VerilogError("no module found");
   if (!done) throw VerilogError("missing endmodule");
   return inst->finish(outputs);
-}
-
-Network read_verilog_file(const std::string& path, const Library& lib) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open Verilog file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return read_verilog_string(buf.str(), lib);
 }
 
 }  // namespace dvs

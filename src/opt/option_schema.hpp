@@ -131,9 +131,6 @@ class OptionSchema {
 
   const std::string& owner() const { return owner_; }
 
-  /// Field names in declaration order (docs / introspection).
-  std::vector<std::string> field_names() const;
-
  private:
   struct Field {
     std::string name;

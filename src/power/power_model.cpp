@@ -2,9 +2,36 @@
 
 #include "support/contracts.hpp"
 #include "support/units.hpp"
-#include "timing/loads.hpp"
+#include "timing/arc_eval.hpp"
+#include "timing/graph.hpp"
 
 namespace dvs {
+
+namespace {
+
+/// Equation (1) over `g`, a current compilation of ctx.net.  Categories
+/// are summed in node order; a node without a term adds an exact +0.0, so
+/// IncrementalPower's re-add reproduces every sum.
+PowerBreakdown sum_power(const PowerContext& ctx, const TimingGraph& g) {
+  const timing_detail::Recipe k(*ctx.lib, ctx.output_port_load);
+  const timing_detail::SupplyView s{ctx.node_vdd, ctx.lc_on_output};
+  PowerBreakdown p;
+  p.node_power.assign(ctx.net->size(), 0.0);
+  ctx.net->for_each_node([&](const Node& node) {
+    const NodeId id = node.id;
+    const timing_detail::NodeLoad load = timing_detail::node_load(k, g, id, s);
+    const NodePower t =
+        node_power(ctx, id, load.direct, load.lc, load.lc_pins > 0);
+    p.switching += t.switching;
+    p.internal += t.internal;
+    p.converter += t.converter;
+    p.leakage += t.leakage;
+    p.node_power[id] = t.total();
+  });
+  return p;
+}
+
+}  // namespace
 
 NodePower node_power(const PowerContext& ctx, NodeId id, double direct_load,
                      double lc_load, bool lc_drives) {
@@ -49,26 +76,13 @@ PowerBreakdown compute_power(const PowerContext& ctx) {
   const int n = net.size();
   DVS_EXPECTS(static_cast<int>(ctx.node_vdd.size()) >= n);
   DVS_EXPECTS(static_cast<int>(ctx.alpha01.size()) >= n);
-
-  LoadContext lctx{ctx.net, ctx.lib, ctx.node_vdd, ctx.lc_on_output,
-                   ctx.output_port_load, ctx.graph};
-  const NodeLoads loads = compute_loads(lctx);
-
-  // Categories are summed in node order; a node without a term adds an
-  // exact +0.0, so IncrementalPower's re-add reproduces every sum.
-  PowerBreakdown p;
-  p.node_power.assign(n, 0.0);
-  net.for_each_node([&](const Node& node) {
-    const NodeId id = node.id;
-    const NodePower t = node_power(ctx, id, loads.direct[id], loads.lc[id],
-                                   loads.lc_fanout_pins[id] > 0);
-    p.switching += t.switching;
-    p.internal += t.internal;
-    p.converter += t.converter;
-    p.leakage += t.leakage;
-    p.node_power[id] = t.total();
-  });
-  return p;
+  // The loads come off ctx.graph when it is current, else off a
+  // throwaway compilation.
+  if (ctx.graph && ctx.graph->describes(net, *ctx.lib)) {
+    ctx.graph->sync_cells();
+    return sum_power(ctx, *ctx.graph);
+  }
+  return sum_power(ctx, TimingGraph(net, *ctx.lib));
 }
 
 PowerBreakdown compute_power(const Network& net, const Library& lib,

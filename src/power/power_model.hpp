@@ -24,7 +24,8 @@ struct PowerContext {
   std::span<const double> alpha01;  // per node, from activity estimation
   double freq_mhz = 20.0;           // the paper's 20 MHz random simulation
   double output_port_load = 25.0;   // fF, kept consistent with the STA
-  /// Optional compiled graph for the load computation's flat fast path.
+  /// Optional compiled graph the loads are read off when it is current
+  /// (as in TimingContext::graph).
   const TimingGraph* graph = nullptr;
 };
 

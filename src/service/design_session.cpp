@@ -506,8 +506,9 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
     // and answers from them — the same doubles a fresh design gives, as
     // both engines equal a full analysis exactly.  An explicit full is
     // the stateless oracle: it rebuilds a fresh Design from the current
-    // network — its own timing graph, STA and power sweep — and then
-    // re-arms for the next incremental round.  Only the activity is
+    // network — its own timing graph, STA and power sweep — and re-arms
+    // only when the handle has structural debt or was never armed (an
+    // armed timer is exact and current otherwise).  Only the activity is
     // carried over: no session edit changes the logic, so the session
     // design's activity equals a fresh simulation bit for bit
     // (Design::insert_buffer).
@@ -539,7 +540,7 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
       arrival = fresh.run_timing().worst_arrival;
       span("evaluate");
     }
-    if (full || !handle->ista) {
+    if (handle->structural_dirty || !handle->ista) {
       // Re-arm: structural debt paid, or the first evaluation since open.
       arm(*handle);
       handle->structural_dirty = false;

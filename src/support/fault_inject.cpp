@@ -118,15 +118,4 @@ int FaultInjector::stall_ms() const {
   return state_ ? state_->stall_ms : 60'000;
 }
 
-const char* fault_action_name(FaultInjector::Action action) {
-  switch (action) {
-    case FaultInjector::Action::kNone: return "none";
-    case FaultInjector::Action::kDropConnection: return "drop-connection";
-    case FaultInjector::Action::kStall: return "stall";
-    case FaultInjector::Action::kCorruptReply: return "corrupt-reply";
-    case FaultInjector::Action::kDieAfterAccept: return "die-after-accept";
-  }
-  return "none";
-}
-
 }  // namespace dvs

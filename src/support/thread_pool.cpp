@@ -94,11 +94,6 @@ void ThreadPool::wait_idle() {
   idle_.wait(lock, [this] { return pending_ == 0; });
 }
 
-int ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pending_;
-}
-
 ThreadPoolStats ThreadPool::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   ThreadPoolStats out;

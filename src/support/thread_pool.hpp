@@ -43,10 +43,6 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Tasks submitted but not yet finished (queued + running) — the
-  /// pool-depth signal behind the service's `stats` report.
-  int pending() const;
-
   /// Load counters (current depth, peak depth, total tasks retired).
   ThreadPoolStats stats() const;
 

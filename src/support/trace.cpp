@@ -26,17 +26,6 @@ void RequestTrace::add(const std::string& name, Clock::time_point start,
   spans_.push_back(std::move(span));
 }
 
-void RequestTrace::add_offset(const std::string& name, double start_ms,
-                              double dur_ms, int depth) {
-  TraceSpan span;
-  span.name = name;
-  span.depth = depth;
-  span.start_ms = start_ms;
-  span.dur_ms = dur_ms;
-  std::lock_guard<std::mutex> lock(mutex_);
-  spans_.push_back(std::move(span));
-}
-
 std::vector<TraceSpan> RequestTrace::spans() const {
   std::vector<TraceSpan> out;
   {

@@ -44,8 +44,6 @@ class RequestTrace {
 
   void add(const std::string& name, Clock::time_point start,
            Clock::time_point end, int depth = 0);
-  void add_offset(const std::string& name, double start_ms, double dur_ms,
-                  int depth = 0);
 
   // Spans sorted by (start_ms, depth, name); batch workers may have appended
   // them out of order.

@@ -1,5 +1,5 @@
 // The per-node timing recipe, written once.  The full sweep (run_sta),
-// the event-driven IncrementalSta, the load computation and the CPN
+// the event-driven IncrementalSta, the power model's loads and the CPN
 // extractor all call these inline functions instead of keeping their own
 // copy, so every engine produces the same doubles by construction.
 // Internal header (not part of the public API surface).

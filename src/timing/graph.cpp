@@ -75,36 +75,24 @@ void TimingGraph::compile() {
   uniq_offset_.assign(n + 1, 0);
   entry_.clear();
   entry_cap_.clear();
-  entry_group_.clear();
   uniq_.clear();
-  group_begin_.clear();
-  group_cap_sum_.clear();
   for (int u = 0; u < n; ++u) {
     if (net.is_valid(u)) {
       const Node& driver = net.node(u);
       for_each_unique_fanout(driver, [&](NodeId vid) {
         const Node& sink = net.node(vid);
-        const std::int32_t group =
-            static_cast<std::int32_t>(uniq_.size());
         uniq_.push_back(vid);
-        group_begin_.push_back(static_cast<std::int32_t>(entry_.size()));
-        double cap_sum = 0.0;
         for (std::size_t pin = 0; pin < sink.fanins.size(); ++pin) {
           if (sink.fanins[pin] != u) continue;
-          const double cap =
-              pin_cap_of(lib, sink.cell, static_cast<int>(pin));
           entry_.push_back({vid, static_cast<std::int32_t>(pin)});
-          entry_cap_.push_back(cap);
-          entry_group_.push_back(group);
-          cap_sum += cap;
+          entry_cap_.push_back(
+              pin_cap_of(lib, sink.cell, static_cast<int>(pin)));
         }
-        group_cap_sum_.push_back(cap_sum);
       });
     }
     entry_offset_[u + 1] = static_cast<std::int32_t>(entry_.size());
     uniq_offset_[u + 1] = static_cast<std::int32_t>(uniq_.size());
   }
-  group_begin_.push_back(static_cast<std::int32_t>(entry_.size()));
 
   // Cross-link: pin k of sink v is exactly one entry on its driver's list.
   fanin_entry_.assign(fanin_.size(), -1);
@@ -120,13 +108,8 @@ void TimingGraph::patch_cell(NodeId id) const {
   const std::int32_t base = fanin_offset_[id];
   for (std::size_t pin = 0; pin < node.fanins.size(); ++pin) {
     arc_[base + pin] = arc_of(*lib_, node, node.cell, static_cast<int>(pin));
-    const std::int32_t e = fanin_entry_[base + pin];
-    entry_cap_[e] = pin_cap_of(*lib_, node.cell, static_cast<int>(pin));
-    const std::int32_t g = entry_group_[e];
-    double cap_sum = 0.0;
-    for (std::int32_t k = group_begin_[g]; k < group_begin_[g + 1]; ++k)
-      cap_sum += entry_cap_[k];
-    group_cap_sum_[g] = cap_sum;
+    entry_cap_[fanin_entry_[base + pin]] =
+        pin_cap_of(*lib_, node.cell, static_cast<int>(pin));
   }
 }
 

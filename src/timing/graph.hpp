@@ -1,8 +1,8 @@
 // Compiled flat timing graph: a one-shot compilation of a Network +
 // Library into an immutable CSR / struct-of-arrays form that the timing
-// hot loops (full STA, incremental STA, load computation, CPN extraction,
-// the Dscale candidate scan) walk instead of chasing pointers through AoS
-// Node objects.
+// hot loops (full STA, incremental STA, the power model's loads, CPN
+// extraction, the Dscale candidate scan) walk instead of chasing pointers
+// through AoS Node objects.
 //
 // What the compilation precomputes:
 //   - flat fanin adjacency (CSR) with one pre-resolved TimingArc per pin,
@@ -11,7 +11,7 @@
 //   - per-driver *unique*-fanout pin entries (sink, pin, pin-cap) laid out
 //     in the exact visit order of `for_each_unique_fanout` + ascending pin
 //     scan, so float accumulation over the entries is bit-identical to the
-//     seed walks, plus per-(driver,sink) group boundaries and pin-cap sums;
+//     seed walks, plus the distinct fanouts in that order;
 //   - the cached topological order and logic levels;
 //   - per-node output-port fanout counts and node-kind flags.
 //
@@ -102,30 +102,13 @@ class TimingGraph {
     return {uniq_.data() + uniq_offset_[id],
             uniq_.data() + uniq_offset_[id + 1]};
   }
-  int num_unique_fanouts(NodeId id) const {
-    return uniq_offset_[id + 1] - uniq_offset_[id];
-  }
-  /// Entry range [begin, end) of the k-th unique fanout of `driver`
-  /// inside fanout_pins(driver)'s global index space.
-  std::pair<std::int32_t, std::int32_t> sink_entry_range(NodeId driver,
-                                                         int k) const {
-    const std::int32_t g = uniq_offset_[driver] + k;
-    return {group_begin_[g], group_begin_[g + 1]};
-  }
-  /// Sum of the pin caps `driver`'s k-th unique fanout charges it with.
-  /// Summed in pin order, so it equals the seed's per-sink accumulation;
-  /// folding these across sinks is NOT bit-identical to the per-pin fold
-  /// the analyses use — query-only.
-  double sink_cap_sum(NodeId driver, int k) const {
-    return group_cap_sum_[uniq_offset_[driver] + k];
-  }
 
   /// Number of primary-output ports this node drives.
   int port_fanout_count(NodeId id) const { return port_count_[id]; }
 
   // ---- point-change patching -------------------------------------------
   /// Refreshes everything derived from `id`'s mapped cell: its arcs and
-  /// the pin caps (and group sums) on each of its drivers' entry lists.
+  /// the pin caps on each of its drivers' entry lists.
   /// Call after Network::set_cell; full analyses self-heal via
   /// sync_cells().
   void sync_node(NodeId id) const;
@@ -154,17 +137,12 @@ class TimingGraph {
   mutable std::vector<TimingArc> arc_;
   std::vector<std::int32_t> fanin_entry_;
 
-  // Fanout entry CSR + unique-fanout grouping.  Groups tile the entry
-  // array: group g (global index, shared with uniq_) spans
-  // [group_begin_[g], group_begin_[g+1]).
+  // Fanout entry CSR and the distinct fanouts per driver.
   std::vector<std::int32_t> entry_offset_;
   std::vector<FanoutPin> entry_;
   mutable std::vector<double> entry_cap_;
-  std::vector<std::int32_t> entry_group_;
   std::vector<std::int32_t> uniq_offset_;
   std::vector<NodeId> uniq_;
-  std::vector<std::int32_t> group_begin_;
-  mutable std::vector<double> group_cap_sum_;
 
   // Mapped-cell snapshot the arcs/caps were resolved against.
   mutable std::vector<std::int32_t> cell_;

@@ -33,7 +33,20 @@ IncrementalSta::IncrementalSta(const TimingContext& ctx, double tspec)
     : ctx_(ctx),
       tspec_(tspec),
       recipe_(std::make_unique<Recipe>(*ctx.lib, ctx.output_port_load)) {
-  full_recompute();
+  // Share the caller's compiled graph when it is current; compile a
+  // private one otherwise.
+  if (ctx_.graph && ctx_.graph->describes(*ctx_.net, *ctx_.lib)) {
+    graph_ = ctx_.graph;
+  } else {
+    owned_graph_ = std::make_unique<TimingGraph>(*ctx_.net, *ctx_.lib);
+    graph_ = owned_graph_.get();
+  }
+  const std::vector<int>& level = graph_->levels();
+  const int depth =
+      level.empty() ? 0 : *std::max_element(level.begin(), level.end()) + 1;
+  bucket_.resize(depth);
+  queued_.assign(level.size(), 0);
+  result_ = analyze_full();
 }
 
 IncrementalSta::~IncrementalSta() = default;
@@ -42,31 +55,6 @@ StaResult IncrementalSta::analyze_full() const {
   TimingContext ctx = ctx_;
   ctx.graph = graph_;
   return run_sta(ctx, tspec_);
-}
-
-void IncrementalSta::full_recompute() {
-  // Prefer the caller's compiled graph; compile (or recompile, after a
-  // structural edit) a private one otherwise.
-  if (ctx_.graph && ctx_.graph->describes(*ctx_.net, *ctx_.lib)) {
-    graph_ = ctx_.graph;
-    owned_graph_.reset();
-  } else if (owned_graph_ &&
-             owned_graph_->describes(*ctx_.net, *ctx_.lib)) {
-    graph_ = owned_graph_.get();
-  } else {
-    owned_graph_ =
-        std::make_unique<TimingGraph>(*ctx_.net, *ctx_.lib);
-    graph_ = owned_graph_.get();
-  }
-  // A structural edit can add nodes and levels: size the worklists to
-  // the current graph.
-  const std::vector<int>& level = graph_->levels();
-  const int depth =
-      level.empty() ? 0 : *std::max_element(level.begin(), level.end()) + 1;
-  bucket_.resize(depth);
-  queued_.assign(level.size(), 0);
-  epoch_ = 0;
-  result_ = analyze_full();
 }
 
 void IncrementalSta::begin_sweep() {

@@ -16,9 +16,10 @@
 // node's arrival reads only its fanins (strictly lower levels) and its
 // required time only its fanouts (strictly higher levels), so every node is
 // recomputed once, after all of its inputs — the same values a
-// topological-rank walk produces.  The engine owns the buckets, which
-// full_recompute() re-sizes after a structural edit, and builds its timing
-// recipe (arc_eval.hpp, with the per-rung delay-factor memo) once.
+// topological-rank walk produces.  The engine sizes its buckets and builds
+// its timing recipe (arc_eval.hpp, with the per-rung delay-factor memo)
+// once, at construction.  Structure is fixed for the engine's life: after
+// a structural edit the caller builds a new engine.
 #pragma once
 
 #include <cstdint>
@@ -54,10 +55,6 @@ class IncrementalSta {
   /// Recomputes the affected loads, then propagates arrival changes
   /// forward and required-time changes backward along the worklists.
   void on_node_changed(NodeId id);
-
-  /// Full re-analysis (also the recovery path after structural edits:
-  /// recompiles the graph and re-sizes the worklists).
-  void full_recompute();
 
   /// Verification hook: true iff every field of the incremental state
   /// equals a fresh full analysis exactly (`==`, no tolerance).

@@ -34,9 +34,8 @@ struct TimingContext {
   const Library* lib = nullptr;
   /// Supply voltage per node id (dead slots ignored).
   std::span<const double> node_vdd;
-  /// Supply-ladder rung per node id.  Optional: analyses that need rungs
-  /// (the TCB / boundary checks) fall back to matching `node_vdd` against
-  /// the library ladder when this span is empty.
+  /// Supply-ladder rung per node id.  The STA itself reads `node_vdd`;
+  /// the TCB (timing/tcb.hpp) requires this span.
   std::span<const SupplyId> node_level;
   /// True when a level converter sits on this node's output, carrying its
   /// arcs into higher-voltage fanouts.

@@ -3,49 +3,14 @@
 #include <vector>
 
 #include "support/contracts.hpp"
-#include "timing/arc_eval.hpp"
 
 namespace dvs {
-
-namespace {
-
-/// Rung of `id` under `ctx`: the explicit span when the provider filled
-/// it, else the exact ladder match on the node's supply (per-node vdd
-/// vectors are assigned from ladder voltages, so the match is sound).
-SupplyId rung_at(const TimingContext& ctx, NodeId id) {
-  if (!ctx.node_level.empty()) return ctx.node_level[id];
-  const int rung = ctx.lib->supplies().rung_of(ctx.node_vdd[id]);
-  DVS_ASSERT(rung >= 0);
-  return static_cast<SupplyId>(rung);
-}
-
-/// Could `id` drop one rung within its own slack?  `factor` is the
-/// ladder's per-rung delay-factor table (hoisted by the sweep).
-bool can_deepen_one_rung(const std::vector<double>& factor,
-                         const TimingContext& ctx, const StaResult& sta,
-                         NodeId id) {
-  const Node& n = ctx.net->node(id);
-  if (!n.is_gate() || n.cell < 0) return false;
-  const SupplyId cur = rung_at(ctx, id);
-  const SupplyId deepest = ctx.lib->supplies().deepest();
-  const SupplyId next = cur < deepest ? static_cast<SupplyId>(cur + 1) : cur;
-  const double increase = worst_delay_increase(
-      factor[cur], factor[next], ctx.lib->cell(n.cell), sta.load[id]);
-  return increase <= sta.slack[id] + 1e-12;
-}
-
-}  // namespace
-
-bool can_lower_within_slack(const TimingContext& ctx, const StaResult& sta,
-                            NodeId id) {
-  const std::vector<double> factor =
-      ctx.lib->supplies().delay_factors(ctx.lib->voltage_model());
-  return can_deepen_one_rung(factor, ctx, sta, id);
-}
 
 std::vector<NodeId> compute_tcb(const TimingContext& ctx,
                                 const StaResult& sta) {
   const Network& net = *ctx.net;
+  DVS_EXPECTS(static_cast<int>(ctx.node_level.size()) >= net.size());
+  const std::span<const SupplyId> level = ctx.node_level;
   const SupplyLadder& ladder = ctx.lib->supplies();
   const SupplyId deepest = ladder.deepest();
   const std::vector<double> factor =
@@ -54,55 +19,22 @@ std::vector<NodeId> compute_tcb(const TimingContext& ctx,
   std::vector<char> drives_port(net.size(), 0);
   for (const OutputPort& port : net.outputs()) drives_port[port.driver] = 1;
 
-  // Rungs are memoized per node (the naive sweep re-derives a node's
-  // rung once per fanin), and the deepen probes run as one batched pass
-  // per current-rung group with the factor pair hoisted, instead of a
-  // table lookup per gate.  The probe math is word-for-word
-  // can_deepen_one_rung's, and membership is emitted in the original
-  // gate order, so the TCB is identical.
-  std::vector<SupplyId> rung(net.size(), kTopRung);
-  std::vector<char> have_rung(net.size(), 0);
-  const auto rung_of_node = [&](NodeId id) {
-    if (have_rung[id] == 0) {
-      rung[id] = rung_at(ctx, id);
-      have_rung[id] = 1;
-    }
-    return rung[id];
-  };
-
-  std::vector<NodeId> adjacent;  // for_each_gate order
-  std::vector<std::vector<NodeId>> by_rung(ladder.depth());
+  std::vector<NodeId> tcb;
   net.for_each_gate([&](const Node& n) {
-    const SupplyId cur = rung_of_node(n.id);
+    const SupplyId cur = level[n.id];
     if (cur == deepest) return;  // already on the deepest rung
     bool adjacent_to_low = drives_port[n.id] != 0;
     for (NodeId fo : n.fanouts)
-      if (rung_of_node(fo) > cur) adjacent_to_low = true;
+      if (level[fo] > cur) adjacent_to_low = true;
     if (!adjacent_to_low) return;
-    adjacent.push_back(n.id);
-    by_rung[cur].push_back(n.id);
+    // Can it drop one rung within its own slack?  An unmapped gate
+    // cannot deepen, so it always belongs to the TCB.
+    if (n.cell < 0 ||
+        worst_delay_increase(factor[cur], factor[cur + 1],
+                             ctx.lib->cell(n.cell), sta.load[n.id]) >
+            sta.slack[n.id] + 1e-12)
+      tcb.push_back(n.id);
   });
-
-  std::vector<char> blocked(net.size(), 0);
-  for (SupplyId cur = kTopRung; cur < deepest; ++cur) {
-    if (by_rung[cur].empty()) continue;
-    const double f_cur = factor[cur];
-    const double f_next = factor[cur + 1];
-    for (NodeId id : by_rung[cur]) {
-      const Node& n = net.node(id);
-      if (n.cell < 0) {
-        blocked[id] = 1;  // unmapped: cannot deepen, always in the TCB
-        continue;
-      }
-      const double increase = worst_delay_increase(
-          f_cur, f_next, ctx.lib->cell(n.cell), sta.load[id]);
-      if (increase > sta.slack[id] + 1e-12) blocked[id] = 1;
-    }
-  }
-
-  std::vector<NodeId> tcb;
-  for (NodeId id : adjacent)
-    if (blocked[id] != 0) tcb.push_back(id);
   return tcb;
 }
 

@@ -16,15 +16,10 @@
 
 namespace dvs {
 
-/// Nodes forming the TCB under the given operating state.  `sta` must have
-/// been produced from `ctx` at the current assignment.
+/// Nodes forming the TCB under the given operating state, in node order.
+/// `sta` must have been produced from `ctx` at the current assignment,
+/// and `ctx.node_level` must carry every node's rung.
 std::vector<NodeId> compute_tcb(const TimingContext& ctx,
                                 const StaResult& sta);
-
-/// True iff `id` could drop one ladder rung within its own slack
-/// (ignoring any level-converter cost — the CVS cluster rule never needs
-/// one).  Nodes already on the deepest rung trivially qualify.
-bool can_lower_within_slack(const TimingContext& ctx, const StaResult& sta,
-                            NodeId id);
 
 }  // namespace dvs

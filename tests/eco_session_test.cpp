@@ -755,10 +755,11 @@ TEST_F(EcoServiceTest, ReoptimizeTraceShowsRearmOnlyAfterStructuralEdit) {
     }
     return false;
   };
-  // Depth-0 span names of one traced auto reoptimize, in start order.
-  const auto traced_phases = [&](const std::string& expected_mode) {
-    client.send(
-        R"({"type":"reoptimize","design":"traced","mode":"auto","trace":true})");
+  // Depth-0 span names of one traced reoptimize, in start order.
+  const auto traced_phases = [&](const std::string& mode,
+                                 const std::string& expected_mode) {
+    client.send(R"({"type":"reoptimize","design":"traced","mode":")" + mode +
+                R"(","trace":true})");
     const Json reply = client.recv();
     EXPECT_EQ("reoptimized", reply.find("type")->as_string()) << reply.dump();
     EXPECT_EQ(expected_mode, reply.find("mode")->as_string());
@@ -780,11 +781,17 @@ TEST_F(EcoServiceTest, ReoptimizeTraceShowsRearmOnlyAfterStructuralEdit) {
   };
 
   ASSERT_TRUE(edit_some_gate("upsize"));
-  EXPECT_EQ(traced_phases("incremental"),
+  EXPECT_EQ(traced_phases("auto", "incremental"),
+            (std::vector<std::string>{"parse", "admission", "queue_wait",
+                                      "evaluate", "respond"}));
+  // An explicit full after a point edit evaluates the fresh-design
+  // oracle; the armed timer is exact and current, so it is kept.
+  ASSERT_TRUE(edit_some_gate("upsize"));
+  EXPECT_EQ(traced_phases("full", "full"),
             (std::vector<std::string>{"parse", "admission", "queue_wait",
                                       "evaluate", "respond"}));
   ASSERT_TRUE(edit_some_gate("insert_lc"));
-  EXPECT_EQ(traced_phases("full"),
+  EXPECT_EQ(traced_phases("auto", "full"),
             (std::vector<std::string>{"parse", "admission", "queue_wait",
                                       "rearm", "evaluate", "respond"}));
 }

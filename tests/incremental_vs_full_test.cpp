@@ -8,7 +8,6 @@
 #include "dual_ladder.hpp"
 #include "random_flips.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "benchgen/random_dag.hpp"
@@ -267,44 +266,6 @@ TEST_F(IncrementalVsFullTest, BatchedResizeThenNotifyMatchesFull) {
         << " touched, " << reverted << " reverted)";
   }
   EXPECT_GT(batches, 20);
-}
-
-TEST_F(IncrementalVsFullTest, StructuralEditGrowsTheWorklists) {
-  // A structural edit that adds a new deepest logic level: after
-  // full_recompute() the engine's level buckets and membership marks must
-  // cover the new node, or notifying it indexes past their end.
-  Network net = random_circuit(31, 0.4);
-  const NodeId base_size = net.size();
-  // Per-node supplies with headroom for the node the edit adds (the
-  // engine keeps the spans it was built with).
-  std::vector<double> vdd(base_size + 1, lib_.vdd_high());
-  TimingContext ctx;
-  ctx.net = &net;
-  ctx.lib = &lib_;
-  ctx.node_vdd = vdd;
-  const double tspec = run_sta(net, lib_, -1.0).worst_arrival * 1.05;
-  IncrementalSta timer(ctx, tspec);
-  ASSERT_TRUE(timer.matches_full_sta());
-
-  const TimingGraph before(net, lib_);
-  const std::vector<int>& level = before.levels();
-  const NodeId deepest = static_cast<NodeId>(
-      std::max_element(level.begin(), level.end()) - level.begin());
-  const int inv = lib_.smallest_of("inv");
-  const NodeId tail =
-      net.add_gate(lib_.cell(inv).function, {deepest}, inv, "deep_tail");
-  net.add_output("deep_tail", tail);
-  ASSERT_EQ(tail, base_size);
-
-  timer.full_recompute();
-  ASSERT_TRUE(timer.matches_full_sta());
-  EXPECT_EQ(TimingGraph(net, lib_).levels()[tail], level[deepest] + 1);
-  vdd[tail] = lib_.vdd_low();
-  timer.on_node_changed(tail);
-  EXPECT_TRUE(timer.matches_full_sta());
-  vdd[deepest] = lib_.vdd_low();
-  timer.on_node_changed(deepest);
-  EXPECT_TRUE(timer.matches_full_sta());
 }
 
 }  // namespace

@@ -25,14 +25,19 @@ double pin_cap(const Library& lib, const Node& sink, int pin) {
   return kDefaultPinCap;
 }
 
-bool arc_through_lc(const LoadContext& ctx, NodeId driver, NodeId sink) {
+bool arc_through_lc(const TimingContext& ctx, NodeId driver, NodeId sink) {
   if (ctx.lc_on_output.empty() || !ctx.lc_on_output[driver]) return false;
   return ctx.node_vdd[sink] > ctx.node_vdd[driver] + kVoltEps;
 }
 
-}  // namespace
+struct NodeLoads {
+  std::vector<double> direct;  // fF seen by the node's own output stage
+  std::vector<double> lc;      // fF seen by its level converter (0 if none)
+  std::vector<int> lc_fanout_pins;  // #fanout pins rerouted through the LC
+};
 
-NodeLoads compute_loads_reference(const LoadContext& ctx) {
+/// Load computation over the raw Network, ignoring any ctx.graph.
+NodeLoads compute_loads_reference(const TimingContext& ctx) {
   DVS_EXPECTS(ctx.net != nullptr && ctx.lib != nullptr);
   const Network& net = *ctx.net;
   const Library& lib = *ctx.lib;
@@ -79,6 +84,8 @@ NodeLoads compute_loads_reference(const LoadContext& ctx) {
   return loads;
 }
 
+}  // namespace
+
 StaResult run_sta_reference(const TimingContext& ctx, double tspec) {
   DVS_EXPECTS(ctx.net != nullptr && ctx.lib != nullptr);
   const Network& net = *ctx.net;
@@ -100,9 +107,7 @@ StaResult run_sta_reference(const TimingContext& ctx, double tspec) {
   r.required.assign(n, RiseFall{kInf, kInf});
   r.slack.assign(n, kInf);
 
-  LoadContext lctx{ctx.net, ctx.lib, ctx.node_vdd, ctx.lc_on_output,
-                   ctx.output_port_load, nullptr};
-  NodeLoads loads = compute_loads_reference(lctx);
+  NodeLoads loads = compute_loads_reference(ctx);
   r.load = std::move(loads.direct);
   r.lc_load = std::move(loads.lc);
   const std::vector<int>& lc_count = loads.lc_fanout_pins;

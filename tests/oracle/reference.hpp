@@ -6,15 +6,11 @@
 // require the graph-based STA to reproduce these bit-for-bit.
 #pragma once
 
-#include "timing/loads.hpp"
 #include "timing/sta.hpp"
 
 namespace dvs {
 
 /// Full STA over the raw Network, ignoring any ctx.graph.
 StaResult run_sta_reference(const TimingContext& ctx, double tspec);
-
-/// Load computation over the raw Network, ignoring any ctx.graph.
-NodeLoads compute_loads_reference(const LoadContext& ctx);
 
 }  // namespace dvs

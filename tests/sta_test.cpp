@@ -111,10 +111,12 @@ TEST_F(StaTest, WorstDelayIncreaseMatchesFactor) {
 TEST_F(StaTest, TcbOfTightChainIsThePoDriver) {
   Network net = inv_chain(4);
   std::vector<double> vdd(net.size(), lib_.vdd_high());
+  std::vector<SupplyId> level(net.size(), kTopRung);
   TimingContext ctx;
   ctx.net = &net;
   ctx.lib = &lib_;
   ctx.node_vdd = vdd;
+  ctx.node_level = level;
   const StaResult sta = run_sta(ctx, -1.0);  // zero slack everywhere
   const std::vector<NodeId> tcb = compute_tcb(ctx, sta);
   ASSERT_EQ(tcb.size(), 1u);
@@ -124,10 +126,12 @@ TEST_F(StaTest, TcbOfTightChainIsThePoDriver) {
 TEST_F(StaTest, TcbEmptyWhenEverythingFits) {
   Network net = inv_chain(4);
   std::vector<double> vdd(net.size(), lib_.vdd_high());
+  std::vector<SupplyId> level(net.size(), kTopRung);
   TimingContext ctx;
   ctx.net = &net;
   ctx.lib = &lib_;
   ctx.node_vdd = vdd;
+  ctx.node_level = level;
   const StaResult tight = run_sta(ctx, -1.0);
   const StaResult loose = run_sta(ctx, tight.worst_arrival * 2.0);
   EXPECT_TRUE(compute_tcb(ctx, loose).empty());

@@ -1,5 +1,5 @@
 // Tests for the support layer: deterministic RNG and unit formatting,
-// the load-computation helper shared by STA and power, and the
+// the load split the STA reports (and the power model shares), and the
 // robustness primitives under the distributed service — bounded backoff,
 // deterministic fault injection, and the hardened socket layer.
 #include <gtest/gtest.h>
@@ -21,7 +21,7 @@
 #include "support/socket.hpp"
 #include "support/units.hpp"
 #include "timing/arc_eval.hpp"
-#include "timing/loads.hpp"
+#include "timing/sta.hpp"
 
 namespace dvs {
 namespace {
@@ -97,23 +97,26 @@ TEST_F(LoadsTest, SplitsAcrossConverterBoundary) {
   std::vector<char> lc(net.size(), 0);
   lc[g] = 1;
 
-  LoadContext ctx{&net, &lib_, vdd, lc, 25.0};
+  TimingContext ctx;
+  ctx.net = &net;
+  ctx.lib = &lib_;
+  ctx.node_vdd = vdd;
+  ctx.lc_on_output = lc;
   const timing_detail::SupplyView supply{vdd, lc};
   EXPECT_TRUE(timing_detail::through_lc(supply, g, hi));
   EXPECT_FALSE(timing_detail::through_lc(supply, g, lo));
 
-  const NodeLoads loads = compute_loads(ctx);
-  EXPECT_EQ(loads.lc_fanout_pins[g], 1);
+  const StaResult sta = run_sta(ctx, -1.0);
   // LC side: the high fanout pin + its wire.
   const double lc_side = lib_.cell(inv).input_cap[0] +
                          lib_.wire_load().wire_cap(1);
-  EXPECT_NEAR(loads.lc[g], lc_side, 1e-12);
+  EXPECT_NEAR(sta.lc_load[g], lc_side, 1e-12);
   // Direct side: the low pin + the converter's input + wire(2).
   const double direct =
       lib_.cell(inv).input_cap[0] +
       lib_.cell(lib_.level_converter()).input_cap[0] +
       lib_.wire_load().wire_cap(2);
-  EXPECT_NEAR(loads.direct[g], direct, 1e-12);
+  EXPECT_NEAR(sta.load[g], direct, 1e-12);
 }
 
 TEST_F(LoadsTest, MultiPinFanoutCountsEveryPin) {
@@ -124,10 +127,8 @@ TEST_F(LoadsTest, MultiPinFanoutCountsEveryPin) {
   const NodeId g = net.add_gate(tt_inv(), {a}, lib_.find("inv_d0"));
   const NodeId s = net.add_gate(tt_xnor(2), {g, g}, xnor);
   net.add_output("y", s);
-  std::vector<double> vdd(net.size(), lib_.vdd_high());
-  LoadContext ctx{&net, &lib_, vdd, {}, 25.0};
-  const NodeLoads loads = compute_loads(ctx);
-  EXPECT_NEAR(loads.direct[g],
+  const StaResult sta = run_sta(net, lib_, -1.0);
+  EXPECT_NEAR(sta.load[g],
               2 * lib_.cell(xnor).input_cap[0] +
                   lib_.wire_load().wire_cap(2),
               1e-12);
