@@ -11,6 +11,7 @@
 
 #include "core/boundary.hpp"
 #include "core/flow.hpp"
+#include "core/gscale.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/stats.hpp"
 #include "synth/mapper.hpp"

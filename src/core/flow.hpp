@@ -7,17 +7,12 @@
 
 #include <string>
 
-#include "core/cvs.hpp"
 #include "core/design.hpp"
-#include "core/dscale.hpp"
-#include "core/gscale.hpp"
 
 namespace dvs {
 
+/// Job-wide knobs; pass knobs live in each cell's pipeline spec.
 struct FlowOptions {
-  CvsOptions cvs;
-  DscaleOptions dscale;
-  GscaleOptions gscale;
   ActivityOptions activity;
   double freq_mhz = 20.0;
   /// Extra slack handed to the algorithms on top of the mapped delay

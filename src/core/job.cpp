@@ -2,9 +2,7 @@
 
 #include <utility>
 
-#include "opt/passes.hpp"
 #include "support/contracts.hpp"
-#include "support/rng.hpp"
 
 namespace dvs {
 
@@ -18,26 +16,8 @@ const char* paper_algo_name(PaperAlgo algo) {
 }
 
 JobCell make_paper_cell(PaperAlgo algo, const FlowOptions& flow) {
-  JobCell cell;
-  cell.label = paper_algo_name(algo);
-  switch (algo) {
-    case PaperAlgo::kCvs:
-      cell.pipeline.append(make_cvs_pass(flow.cvs));
-      break;
-    case PaperAlgo::kDscale: {
-      DscaleOptions dscale = flow.dscale;
-      dscale.cvs = flow.cvs;
-      cell.pipeline.append(make_dscale_pass(dscale));
-      break;
-    }
-    case PaperAlgo::kGscale: {
-      GscaleOptions gscale = flow.gscale;
-      gscale.cvs = flow.cvs;
-      cell.pipeline.append(make_gscale_pass(gscale));
-      break;
-    }
-  }
-  return cell;
+  return make_pipeline_cell(Pipeline::parse(paper_algo_name(algo)),
+                            flow.activity.seed);
 }
 
 JobCell make_pipeline_cell(Pipeline pipeline, std::uint64_t circuit_seed) {
@@ -69,11 +49,10 @@ void fill_paper_columns(const JobCellResult& cell, CircuitRunResult* row) {
 }
 
 FlowOptions derive_cell_flow(const FlowOptions& base,
-                             std::uint64_t circuit_seed, PaperAlgo algo) {
+                             std::uint64_t circuit_seed,
+                             PaperAlgo /*algo*/) {
   FlowOptions flow = base;
   flow.activity.seed = circuit_seed;
-  flow.gscale.random_cut_seed =
-      mix_seed(circuit_seed, static_cast<std::uint64_t>(algo) + 1);
   return flow;
 }
 

@@ -13,8 +13,8 @@
 // registry pipelines run through exactly the same machinery.
 //
 // Seed discipline matches the suite engine: every stochastic knob is a
-// pure function of (circuit seed, algorithm/position) via
-// derive_cell_flow / Pipeline::resolve_seeds, never of scheduling or
+// pure function of (circuit seed, pipeline position) via
+// derive_cell_flow and Pipeline::resolve_seeds, never of scheduling or
 // request order.
 #pragma once
 
@@ -39,16 +39,16 @@ struct JobCell {
 
 const char* paper_algo_name(PaperAlgo algo);
 
-/// The canonical paper pipeline of one algorithm with `flow`'s options
-/// (including already-derived seeds) bound onto the pass — what the
-/// suite matrix, the sweep grid and run_paper_flow compile to.
+/// The paper pipeline of one algorithm: its registry spec compiled by
+/// make_pipeline_cell with `flow.activity.seed` as the circuit seed, so
+/// `flow` must come from derive_cell_flow.
 JobCell make_paper_cell(PaperAlgo algo, const FlowOptions& flow);
 
 /// The cell of a spec'd pipeline: stochastic knobs the spec left unset
 /// resolved from `circuit_seed`, labelled with the pass name when it
-/// has one pass and "pipeline" otherwise.  The single-pass paper specs
-/// resolve to exactly make_paper_cell's cells (same canonical options,
-/// same label), which is what makes the protocol's `algos` sugar.
+/// has one pass and "pipeline" otherwise.  The paper cells are this
+/// function on the paper specs, which is what makes the protocol's
+/// `algos` sugar.
 JobCell make_pipeline_cell(Pipeline pipeline, std::uint64_t circuit_seed);
 
 /// Result of one executed cell, keyed by cell position: the canonical
@@ -66,8 +66,7 @@ struct JobCellResult {
 /// Copies a paper cell's single-pass stats into its row columns: the
 /// cell labelled "cvs", "dscale" or "gscale" fills that algorithm's
 /// columns, any other label none.  The values are read back exactly as
-/// the pass computed them, so pipeline-backed rows are bit-identical to
-/// the hard-wired flow's.
+/// the pass computed them.
 void fill_paper_columns(const JobCellResult& cell, CircuitRunResult* row);
 
 struct PipelineJobResult {
@@ -78,11 +77,11 @@ struct PipelineJobResult {
 /// Derives the per-cell flow options from a base configuration: the
 /// activity seed is the circuit seed (shared by all algorithms of the
 /// circuit, so they measure improvement against the same original
-/// power), and algorithm-private randomness (Gscale's ablation cut
-/// selector) is mixed from (circuit seed, algorithm).  This is the suite
+/// power); each pass resolves its own seeds from it.  This is the suite
 /// engine's derivation, exposed so the service derives identically.
+/// PaperAlgo is unused; it stays for perfbench/'s three-argument calls.
 FlowOptions derive_cell_flow(const FlowOptions& base,
-                             std::uint64_t circuit_seed, PaperAlgo algo);
+                             std::uint64_t circuit_seed, PaperAlgo);
 
 /// Precomputed circuit-shared job state: init_flow_row's columns plus
 /// the switching-activity estimate.  Both are pure functions of the

@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <functional>
-#include <iterator>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -64,15 +62,12 @@ struct MatrixRun {
   double wall_seconds = 0.0;
 };
 
-/// Builds the job cell of one (circuit, column) task.
-using CellFactory =
-    std::function<JobCell(const McncDescriptor& descriptor, int column)>;
-
 /// The one matrix engine behind run_suite and run_pipeline_suite: every
-/// (circuit, column) task runs the cell `make_cell` builds for it as a
-/// single-cell run_pipeline_job.
+/// (circuit, column) task compiles the column's registry spec for the
+/// circuit and runs it as a single-cell run_pipeline_job.
 MatrixRun run_matrix(const SuiteOptions& options, const Library* lib,
-                     int columns, const CellFactory& make_cell) {
+                     const std::vector<std::string>& specs) {
+  const int columns = static_cast<int>(specs.size());
   // The caller's library (or the compass default), reladdered onto
   // `options.supplies` when set.
   std::optional<Library> fallback;
@@ -110,8 +105,12 @@ MatrixRun run_matrix(const SuiteOptions& options, const Library* lib,
       sc.net = build_mcnc_circuit(*lib, descriptor);
       sc.init = make_job_init(sc.net, *lib, flow);
     });
+    // Parse from the *original* spec per task: which options the spec
+    // set explicitly drives seed resolution, and canonical respellings
+    // would erase that distinction.
     std::vector<JobCell> cells;
-    cells.push_back(make_cell(descriptor, t % columns));
+    cells.push_back(make_pipeline_cell(Pipeline::parse(specs[t % columns]),
+                                       flow.activity.seed));
     run.jobs[t] =
         run_pipeline_job(sc.net, *lib, flow, std::move(cells), false, &sc.init);
   });
@@ -131,13 +130,9 @@ FlowOptions suite_task_flow(const SuiteOptions& options,
 }
 
 SuiteReport run_suite(const SuiteOptions& options, const Library* lib) {
-  constexpr int columns = std::size(kPaperAlgos);
-
-  const MatrixRun run = run_matrix(
-      options, lib, columns, [&](const McncDescriptor& d, int column) {
-        const PaperAlgo algo = kPaperAlgos[column];
-        return make_paper_cell(algo, suite_task_flow(options, d, algo));
-      });
+  const std::vector<std::string> specs = {"cvs", "dscale", "gscale"};
+  const int columns = static_cast<int>(specs.size());
+  const MatrixRun run = run_matrix(options, lib, specs);
 
   SuiteReport report;
   report.supplies = run.supplies;
@@ -237,15 +232,7 @@ PipelineSuiteReport run_pipeline_suite(
   for (const std::string& spec : pipelines)
     report.specs.push_back(Pipeline::parse(spec).canonical_spec());
 
-  MatrixRun run = run_matrix(
-      options, lib, static_cast<int>(pipelines.size()),
-      [&](const McncDescriptor& d, int column) {
-        // Parse from the *original* spec per task: which options the
-        // spec set explicitly drives seed resolution, and canonical
-        // respellings would erase that distinction.
-        return make_pipeline_cell(Pipeline::parse(pipelines[column]),
-                                  mix_seed(options.seed, d.seed));
-      });
+  MatrixRun run = run_matrix(options, lib, pipelines);
   report.num_threads = run.num_threads;
   report.wall_seconds = run.wall_seconds;
 

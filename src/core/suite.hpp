@@ -3,14 +3,14 @@
 // aggregates the per-circuit rows into the paper's Table 1 / Table 2
 // reports plus a machine-readable JSON document (BENCH_suite.json).
 //
-// run_suite and run_pipeline_suite are two views of one matrix engine:
-// each circuit is built once and its shared columns (tspec, original
-// power, activity) computed once, then every (circuit, column) task
-// runs one job cell through run_pipeline_job.  Every RNG seed derives
-// deterministically from (suite seed, circuit seed, algorithm or
-// pipeline position), so results are bit-identical regardless of thread
-// count or scheduling — `num_threads = 1` is the serial reference path
-// and N-thread runs must reproduce it exactly (suite_test.cpp holds the
+// run_suite and run_pipeline_suite are two views of one matrix engine
+// over registry specs: each circuit is built once and its shared columns
+// (tspec, original power, activity) computed once, then every (circuit,
+// spec) task runs one job cell through run_pipeline_job.  Every RNG seed
+// derives deterministically from (suite seed, circuit seed, pipeline
+// position), so results are bit-identical regardless of thread count or
+// scheduling — `num_threads = 1` is the serial reference path and
+// N-thread runs must reproduce it exactly (suite_test.cpp holds the
 // engine to that).
 #pragma once
 
@@ -27,7 +27,7 @@ namespace dvs {
 struct McncDescriptor;
 
 struct SuiteOptions {
-  /// Base flow configuration; per-task seeds are derived on top of it.
+  /// Job-wide flow knobs; per-task seeds are derived on top of them.
   FlowOptions flow;
   /// Circuits to run (MCNC names); empty = the full 39-circuit suite.
   std::vector<std::string> circuits;
@@ -66,24 +66,21 @@ struct SuiteReport {
 SuiteReport run_suite(const SuiteOptions& options = {},
                       const Library* lib = nullptr);
 
-/// Per-cell flow options of one (circuit, algorithm) matrix cell: every
-/// seed is a pure function of (suite seed, circuit seed, algorithm),
-/// never of scheduling order.  Exposed so the dvsd service derives the
-/// exact same options for named-circuit and batch requests — equality
-/// with a suite_bench run at the same seed is a protocol guarantee.
+/// Per-cell flow options of one circuit's matrix cells: every seed is a
+/// pure function of (suite seed, circuit seed), never of scheduling
+/// order.  Exposed so the dvsd service derives the exact same options
+/// for named-circuit and batch requests — equality with a suite_bench
+/// run at the same seed is a protocol guarantee.  PaperAlgo is unused
+/// (see derive_cell_flow).
 FlowOptions suite_task_flow(const SuiteOptions& options,
-                            const McncDescriptor& descriptor,
-                            PaperAlgo algo);
+                            const McncDescriptor& descriptor, PaperAlgo);
 
 // ---- pipeline matrices -----------------------------------------------------
-// The same engine with spec'd columns: the matrix is circuits x pipeline
-// specs instead of circuits x the three paper algorithms.  Every pass knob comes from the spec itself (that is what
-// makes a spec's canonical form the cell's full identity) — the
-// per-algorithm structs in SuiteOptions::flow are deliberately not
-// consulted; only the shared knobs (activity, freq_mhz, tspec_relax)
-// are.  With those spec'd or defaulted knobs matching, the canonical
-// single-pass specs ("cvs", "dscale", "gscale") reproduce the legacy
-// matrix cells bit-identically (pipeline_test.cpp holds the engine to
+// The same engine with caller-chosen specs instead of run_suite's "cvs",
+// "dscale", "gscale".  Every pass knob comes from the spec itself (that
+// is what makes a spec's canonical form the cell's full identity);
+// SuiteOptions::flow supplies only the shared knobs.  The paper specs
+// reproduce run_suite's cells (pipeline_test.cpp holds the two views to
 // that); arbitrary specs open hybrid flows like
 // "cvs | gscale(area_budget=0.05) | dscale" across the whole suite.
 
@@ -115,11 +112,10 @@ struct PipelineSuiteReport {
 /// Runs the circuits x `pipelines` matrix on the thread pool with the
 /// suite engine's determinism contract: every stochastic knob derives
 /// from (suite seed, circuit seed, pipeline position), never from
-/// scheduling.  The per-algorithm structs in `options.flow` are ignored
-/// (pass knobs belong to the spec, see above); circuit selection,
-/// threads, the root seed, and the shared flow knobs (activity vectors,
-/// freq_mhz, tspec_relax) come from `options` as in run_suite.  This is
-/// also how to run a subset of the paper columns: pass their specs.
+/// scheduling.  Circuit selection, threads, the root seed, and the
+/// shared flow knobs (activity vectors, freq_mhz, tspec_relax) come from
+/// `options` as in run_suite.  This is also how to run a subset of the
+/// paper columns: pass their specs.
 PipelineSuiteReport run_pipeline_suite(
     const SuiteOptions& options, const std::vector<std::string>& pipelines,
     const Library* lib = nullptr);

@@ -6,6 +6,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/gscale.hpp"
 #include "core/job.hpp"
 #include "support/thread_pool.hpp"
 
@@ -26,7 +27,7 @@ std::vector<CellSpec> expand(const SweepMatrixSpec& spec,
   std::vector<std::vector<double>> ladders = spec.ladders;
   if (ladders.empty()) ladders.push_back(base_lib.supplies().voltages());
   std::vector<double> budgets = spec.area_budgets;
-  if (budgets.empty()) budgets.push_back(spec.base.gscale.area_budget_ratio);
+  if (budgets.empty()) budgets.push_back(GscaleOptions{}.area_budget_ratio);
 
   std::vector<CellSpec> cells;
   for (const std::vector<double>& ladder : ladders) {
@@ -54,12 +55,14 @@ SweepCellResult run_cell(
 
   // The suite engine's per-cell seed derivation and job runner, so a
   // sweep cell is comparable to the matching daemon / suite_bench cell.
-  FlowOptions flow = derive_cell_flow(spec.base, spec.circuit_seed,
-                                      cell.algo);
-  if (cell.algo == PaperAlgo::kGscale)
-    flow.gscale.area_budget_ratio = cell.budget;
+  // The budget axis is an option of the gscale spec like any other.
+  const FlowOptions flow =
+      derive_cell_flow(spec.base, spec.circuit_seed, cell.algo);
   std::vector<JobCell> cells;
   cells.push_back(make_paper_cell(cell.algo, flow));
+  if (cell.algo == PaperAlgo::kGscale)
+    cells.back().pipeline.pass(0).configure(
+        {{"area_budget", Json(cell.budget)}});
   const PipelineJobResult job =
       run_pipeline_job(net, lib, flow, std::move(cells));
   const PassStats& last = job.cells.front().run.passes.back();

@@ -31,14 +31,15 @@ struct SweepMatrixSpec {
   /// Supply ladders to sweep (each strictly descending, validated by
   /// SupplyLadder).  Empty = just the base library's ladder.
   std::vector<std::vector<double>> ladders;
-  /// Gscale area-budget axis.  Empty = just the base options' budget.
+  /// Gscale area-budget axis (the gscale spec's `area_budget`).  Empty =
+  /// just Gscale's default budget.
   /// Cvs/Dscale cells ignore it and run once per ladder.
   std::vector<double> area_budgets;
   /// Algorithm axis, in grid order.
   std::vector<PaperAlgo> algos = {PaperAlgo::kCvs, PaperAlgo::kDscale,
                                   PaperAlgo::kGscale};
-  /// Base flow configuration; per-cell seeds are derived from
-  /// (circuit_seed, algorithm) via derive_cell_flow, matching the suite
+  /// Job-wide flow knobs; per-cell seeds are derived from circuit_seed
+  /// via derive_cell_flow and Pass::resolve_seeds, matching the suite
   /// engine and the daemon.
   FlowOptions base;
   std::uint64_t circuit_seed = 0x5eed;

@@ -71,11 +71,10 @@ class Pass {
       explicit_keys_.insert(key);
   }
 
-  /// True iff `key` was explicitly set by configure()/mark_set().
+  /// True iff `key` was explicitly set by configure().
   bool is_set(const std::string& key) const {
     return explicit_keys_.count(key) != 0;
   }
-  void mark_set(const std::string& key) { explicit_keys_.insert(key); }
 
   /// Every option, explicitly, in canonical (sorted) form.
   Json::Object canonical_options() const {

@@ -7,14 +7,9 @@
 //             their cluster saves)
 //   measure — no-op probe that records a power/delay/area trajectory
 //             point between other passes
+// Passes are configured only through their OptionSchema, so a cell's
+// canonical spec is its whole configuration.
 #pragma once
-
-#include <memory>
-
-#include "core/cvs.hpp"
-#include "core/dscale.hpp"
-#include "core/gscale.hpp"
-#include "opt/pass.hpp"
 
 namespace dvs {
 
@@ -22,12 +17,5 @@ class PassRegistry;
 
 /// Registers the five built-ins; called once by pass_registry().
 void register_builtin_passes(PassRegistry& registry);
-
-/// Pre-configured pass instances for the legacy FlowOptions adapter
-/// (core/job.cpp): the pass carries exactly the options the hard-wired
-/// flow used, so adapter-built pipelines reproduce rows bit-identically.
-std::unique_ptr<Pass> make_cvs_pass(const CvsOptions& options);
-std::unique_ptr<Pass> make_dscale_pass(const DscaleOptions& options);
-std::unique_ptr<Pass> make_gscale_pass(const GscaleOptions& options);
 
 }  // namespace dvs

@@ -135,12 +135,13 @@ CacheKey job_key(ServiceCore& core, const OptimizeRequest& request,
   return key;
 }
 
-/// Final power/delay/area of one optimized design.
-Json metrics_json(const Design& design) {
+/// Final power/delay/area of one cell: its last trajectory point, which
+/// the pipeline measured on the final design.
+Json metrics_json(const PassStats& last) {
   Json::Object metrics;
-  metrics["power_uw"] = Json(design.run_power().total());
-  metrics["arrival_ns"] = Json(design.run_timing().worst_arrival);
-  metrics["area_um2"] = Json(design.total_area());
+  metrics["power_uw"] = Json(last.power_uw);
+  metrics["arrival_ns"] = Json(last.arrival_ns);
+  metrics["area_um2"] = Json(last.area_um2);
   return Json(std::move(metrics));
 }
 
@@ -154,10 +155,10 @@ std::string compute_body(const OptimizeRequest& request,
   // inside build_job_cells, matching the suite engine's derivation.
   const FlowOptions base = derive_cell_flow(
       request.options.to_flow_options(), source.seed, PaperAlgo::kCvs);
-  PipelineJobResult result;
+  PipelineJobResult result;  // only a netlist export needs the Designs
   Json::Object body = pipeline_body_object(
       circuit, lib, base, build_job_cells(request, source.seed), trace,
-      &result);
+      request.return_netlist ? &result : nullptr);
 
   if (request.return_netlist) {
     // Exactly one cell ran (protocol invariant): its final Design is
@@ -186,7 +187,7 @@ Json::Object pipeline_body_object(const Network& mapped, const Library& lib,
                                   PipelineJobResult* result_out) {
   PipelineJobResult result =
       run_pipeline_job(mapped, lib, base_flow, std::move(cells),
-                       /*capture_designs=*/true);
+                       /*capture_designs=*/result_out != nullptr);
 
   if (trace) {
     // Depth-1 detail spans inside the execute phase: one per executed
@@ -210,7 +211,7 @@ Json::Object pipeline_body_object(const Network& mapped, const Library& lib,
   Json::Object metrics;
   Json::Array trajectory;
   for (const JobCellResult& cell : result.cells) {
-    metrics[cell.label] = metrics_json(*cell.design);
+    metrics[cell.label] = metrics_json(cell.run.passes.back());
     Json::Object entry;
     entry["label"] = Json(cell.label);
     entry["spec"] = Json(cell.spec);

@@ -122,7 +122,8 @@ OptimizeOutcome execute_optimize(ServiceCore& core,
 /// optimize, batch items, fleet jobs and pipeline reoptimizes.  With a
 /// non-null `trace`, appends the depth-1 per-pass spans.  `result_out`
 /// (optional) receives the executed cells, final Designs included, for
-/// callers that need more than the body (netlist export).
+/// callers that need more than the body (netlist export); without it no
+/// Design is kept.
 Json::Object pipeline_body_object(const Network& mapped, const Library& lib,
                                   const FlowOptions& base_flow,
                                   std::vector<JobCell> cells,

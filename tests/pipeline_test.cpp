@@ -157,7 +157,7 @@ TEST(PipelineSeeds, DerivedPerPositionUnlessExplicit) {
   const auto seed_of = [&](std::size_t i) {
     return p.pass(i).canonical_options().at("random_cut_seed").as_uint();
   };
-  // Position 0 uses the legacy suite stream (mix_seed(circuit, 3)).
+  // Position 0 keeps the gscale column's stream (mix_seed(circuit, 3)).
   EXPECT_EQ(seed_of(0), mix_seed(1234, 3));
   EXPECT_EQ(seed_of(1), mix_seed(1234, 4));
   EXPECT_EQ(seed_of(2), 9u);  // explicit wins

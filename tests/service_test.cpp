@@ -450,6 +450,49 @@ TEST_F(ServiceTest, PipelineReturnNetlistAndBatch) {
   EXPECT_EQ(items, 2);
 }
 
+TEST_F(ServiceTest, MetricsAreEachCellsLastTrajectoryPoint) {
+  // A cell's metrics block is its last trajectory point, the values the
+  // pipeline measured on the final design, read back bit for bit.
+  const auto expect_metrics_match = [](const Json& response) {
+    ASSERT_EQ(response.find("type")->as_string(), "result")
+        << response.dump();
+    const Json& metrics = *response.find("metrics");
+    const Json::Array& trajectory = response.find("trajectory")->as_array();
+    ASSERT_EQ(metrics.as_object().size(), trajectory.size());
+    for (const Json& cell : trajectory) {
+      const std::string& label = cell.find("label")->as_string();
+      SCOPED_TRACE(label);
+      const Json& last = cell.find("passes")->as_array().back();
+      const Json* measured = metrics.find(label);
+      ASSERT_NE(measured, nullptr);
+      for (const char* key : {"power_uw", "arrival_ns", "area_um2"})
+        EXPECT_EQ(measured->find(key)->as_double(),
+                  last.find(key)->as_double())
+            << key;
+    }
+  };
+
+  Client client(port());
+  client.send(
+      R"({"type":"optimize","circuit":"C432",)"
+      R"("algos":["cvs","dscale","gscale"]})");
+  expect_metrics_match(client.recv());
+  client.send(
+      R"({"type":"optimize","circuit":"b9",)"
+      R"("pipeline":"cvs | gscale(area_budget=0.05) | dscale | trim"})");
+  expect_metrics_match(client.recv());
+
+  Json::Object request;
+  request["type"] = Json("optimize");
+  request["netlist"] = Json(std::string(kDemoBlif));
+  request["return_netlist"] = Json(true);
+  request["pipeline"] = Json("gscale");
+  client.send(Json(request).dump());
+  const Json response = client.recv();
+  ASSERT_NE(response.find("netlist"), nullptr) << response.dump();
+  expect_metrics_match(response);
+}
+
 TEST_F(ServiceTest, PipelineErrorsAreContained) {
   Client client(port());
   // Unknown pass.
