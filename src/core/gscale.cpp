@@ -27,8 +27,7 @@ struct AppliedResize {
 /// the whole batch, and of each revert as it is made, so it ends equal to
 /// a full analysis of the kept resizes.
 int apply_cut_resizes(Design& design, IncrementalSta& timer,
-                      const std::vector<NodeId>& cut, double area_budget,
-                      double* area_used) {
+                      const std::vector<NodeId>& cut, double area_budget) {
   const StaResult& sta = timer.result();
   std::vector<AppliedResize> applied;
   double area = design.total_area();
@@ -58,7 +57,6 @@ int apply_cut_resizes(Design& design, IncrementalSta& timer,
     timer.on_node_changed(r.id);
   }
   DVS_ASSERT(timer.result().worst_arrival <= design.tspec() + 1e-6);
-  *area_used = design.total_area();
   return static_cast<int>(applied.size() - reverted);
 }
 
@@ -122,13 +120,18 @@ GscaleResult run_gscale(Design& design, const GscaleOptions& options) {
     std::vector<NodeId> cut_nodes;
     for (int i : cut.selected) cut_nodes.push_back(cpn.nodes[i]);
 
-    double area_after = design.total_area();
-    result.num_resized += apply_cut_resizes(design, timer, cut_nodes,
-                                            area_budget, &area_after);
+    const int kept =
+        apply_cut_resizes(design, timer, cut_nodes, area_budget);
 
     CvsResult push = run_cvs(design, options.cvs, timer);
     result.cvs_lowered += push.num_lowered;
     ++result.iterations;
+
+    // A push that changed nothing is a fixpoint: the separator selector
+    // would repeat it exactly (the random one draws a fresh cut).
+    if (kept == 0 && push.num_lowered == 0 &&
+        options.selector == GscaleOptions::CutSelector::kMinWeightSeparator)
+      break;
 
     if (same_tcb(tcb, push.tcb))
       ++counter;

@@ -4,8 +4,8 @@
 // every member by area-penalty-per-time-gained for a one-step upsize,
 // resizes a minimum-weight separator of the CPN (every critical path sped
 // up, no path resized twice), and re-runs CVS to push the TCB.  Stops when
-// the area budget is exhausted or maxIter consecutive pushes fail to move
-// the TCB.
+// the area budget is exhausted, maxIter consecutive pushes fail to move
+// the TCB, or (with the separator selector) a push changes nothing.
 #pragma once
 
 #include "core/cvs.hpp"

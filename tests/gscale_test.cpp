@@ -99,6 +99,31 @@ TEST_F(GscaleTest, RandomCutSelectorIsSoundButWorse) {
   EXPECT_GE(minsep.count_low() + 8, random.count_low());
 }
 
+TEST_F(GscaleTest, StopsAtTheFirstPushThatChangesNothing) {
+  // The grid's run ends at a fixpoint: a push that keeps no resize and
+  // lowers no gate leaves the design as it found it, so the separator
+  // selector would repeat it until max_iter pushes failed to move the
+  // TCB.  Gscale stops at the first such push instead, so a huge
+  // max_iter changes neither the result nor the push count.
+  Network net = tight_grid();
+  Design reference(net, lib_);
+  Design design(std::move(net), lib_);
+  const GscaleResult expected = run_gscale(reference);
+  GscaleOptions options;
+  options.max_iter = 1000;
+  const GscaleResult r = run_gscale(design, options);
+
+  EXPECT_LT(r.iterations, 100);
+  EXPECT_EQ(r.iterations, expected.iterations);
+  EXPECT_EQ(r.num_resized, expected.num_resized);
+  EXPECT_EQ(r.cvs_lowered, expected.cvs_lowered);
+  for (NodeId id = 0; id < design.network().size(); ++id) {
+    EXPECT_EQ(design.network().node(id).cell,
+              reference.network().node(id).cell);
+    EXPECT_EQ(design.level(id), reference.level(id));
+  }
+}
+
 TEST_F(GscaleTest, ClusterInvariantStillHolds) {
   Network net = tight_grid();
   Design design(std::move(net), lib_);
